@@ -1,21 +1,23 @@
 """Microbenchmark: grid-indexed vs linear-scan frame fan-out.
 
 Dense-neighborhood simulation spends its time deciding who hears each
-frame.  The linear scan distance-tests every attached radio per broadcast
-(O(n), O(n²) per beacon round); the uniform grid only visits the cells
-within the technology's range.  This bench pits the two against each other
-on identical random layouts at 50 and 200 nodes and asserts both the
-speedup and that the index changes nothing about who hears what.
+frame.  The linear scan — the scalar reference medium in
+``tests/reference_medium.py`` — distance-tests every attached radio per
+broadcast (O(n), O(n²) per beacon round); the production medium only
+gathers the grid cells within the technology's range.  This bench pits
+the two against each other on identical random layouts at 50 and 200
+nodes and asserts both the speedup and that the gather changes nothing
+about who hears what.
 
 The second benchmark is the hostile regime for a static-only grid: 200
 nodes, *all* of them mobile (``RandomWaypoint``), beaconing while the sim
-clock advances across epoch boundaries.  The epoch-bucketed time-aware
-index must beat the linear scan ≥4× while producing a byte-identical
-delivery log, and the same scenario must digest identically through the
-runner serially and at ``--workers 4``.  Results land in
-``BENCH_mobility.json``.  Setting ``REPRO_BENCH_SMOKE=1`` relaxes the
-speedup floor (CI smoke on noisy runners) — the equality assertions stay
-strict.
+clock advances.  The production medium, which re-bins every radio once
+per instant, must beat the linear scan ≥4× while producing a
+byte-identical delivery log, and the runner's ``mobility`` cell must
+digest identically serially, at ``--workers 4``, and on the reference
+medium.  Results land in ``BENCH_mobility.json``.  Setting
+``REPRO_BENCH_SMOKE=1`` relaxes the speedup floor (CI smoke on noisy
+runners) — the equality assertions stay strict.
 
 Run with ``pytest benchmarks/test_perf_medium.py -s`` to see the tables.
 """
@@ -28,6 +30,8 @@ import os
 import time
 from pathlib import Path
 
+import pytest
+
 from repro.experiments import mobility_exp
 from repro.phy.geometry import Position
 from repro.phy.mobility import RandomWaypoint
@@ -38,10 +42,11 @@ from repro.radio.medium import Medium
 from repro.runner import run_experiment
 from repro.sim.kernel import Kernel
 from repro.util.rng import SeededRng
+from tests.reference_medium import ReferenceMedium
 
 ARENA_M = 2000.0
 ROUNDS = 40
-#: The tentpole acceptance bar: indexed fan-out at 200 nodes must beat the
+#: The acceptance bar: indexed fan-out at 200 nodes must beat the
 #: linear scan by at least this factor while delivering the same frames.
 REQUIRED_SPEEDUP_AT_200 = 5.0
 
@@ -57,10 +62,10 @@ BENCH_MOBILITY_PATH = Path("BENCH_mobility.json")
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
 
 
-def _build(node_count: int, use_spatial_index: bool):
+def _build(node_count: int, medium_cls):
     kernel = Kernel(seed=5)
     world = World(kernel)
-    medium = Medium(kernel, world, use_spatial_index=use_spatial_index)
+    medium = medium_cls(kernel, world)
     layout_rng = SeededRng(1337)
     radios = []
     for i in range(node_count):
@@ -75,9 +80,9 @@ def _build(node_count: int, use_spatial_index: bool):
     return kernel, medium, radios
 
 
-def _time_broadcast_round(node_count: int, use_spatial_index: bool):
+def _time_broadcast_round(node_count: int, medium_cls):
     """Wall-clock of every node advertising once, repeated ROUNDS times."""
-    kernel, medium, radios = _build(node_count, use_spatial_index)
+    kernel, medium, radios = _build(node_count, medium_cls)
     reach = [
         tuple(r.device.name for r in medium.reachable_from(radio))
         for radio in radios
@@ -97,10 +102,10 @@ def test_indexed_broadcast_beats_linear_scan():
     speedups = {}
     for node_count in (50, 200):
         linear_s, linear_reach, linear_delivered = _time_broadcast_round(
-            node_count, use_spatial_index=False
+            node_count, ReferenceMedium
         )
         indexed_s, indexed_reach, indexed_delivered = _time_broadcast_round(
-            node_count, use_spatial_index=True
+            node_count, Medium
         )
         # Identical frame set: same neighbor lists, same delivery count.
         assert indexed_reach == linear_reach
@@ -116,14 +121,14 @@ def test_indexed_broadcast_beats_linear_scan():
     )
 
 
-# -- all-mobile regime: the time-aware epoch-bucketed grid --------------------
+# -- all-mobile regime ----------------------------------------------------------
 
 
-def _build_mobile(use_spatial_index: bool):
+def _build_mobile(medium_cls):
     """200 RandomWaypoint walkers, every one mobile, all scanning."""
     kernel = Kernel(seed=9)
     world = World(kernel)
-    medium = Medium(kernel, world, use_spatial_index=use_spatial_index)
+    medium = medium_cls(kernel, world)
     radios = []
     heard = []
     for i in range(MOBILE_NODE_COUNT):
@@ -146,14 +151,14 @@ def _build_mobile(use_spatial_index: bool):
     return kernel, medium, radios, heard
 
 
-def _time_mobile_broadcast(use_spatial_index: bool):
+def _time_mobile_broadcast(medium_cls):
     """Wall-clock of beacon rounds interleaved with real clock advance.
 
     Advancing sim time between rounds is the point: the walkers move, the
-    time-aware grid crosses epoch boundaries and rebuckets, and the linear
-    scan re-evaluates every walker's position per broadcast.
+    production medium re-bins every walker once per instant, and the
+    linear scan re-evaluates every walker's position per broadcast.
     """
-    kernel, medium, radios, heard = _build_mobile(use_spatial_index)
+    kernel, medium, radios, heard = _build_mobile(medium_cls)
     start = time.perf_counter()
     for round_index in range(MOBILE_ROUNDS):
         kernel.run_until((round_index + 1) * MOBILE_STEP_S)
@@ -165,13 +170,15 @@ def _time_mobile_broadcast(use_spatial_index: bool):
     return elapsed, digest, medium.frames_delivered
 
 
-def test_time_aware_index_accelerates_all_mobile_fanout():
+def test_time_aware_index_accelerates_all_mobile_fanout(
+    monkeypatch: pytest.MonkeyPatch,
+):
     print()
     linear_s, linear_digest, linear_delivered = _time_mobile_broadcast(
-        use_spatial_index=False
+        ReferenceMedium
     )
     indexed_s, indexed_digest, indexed_delivered = _time_mobile_broadcast(
-        use_spatial_index=True
+        Medium
     )
     # Byte-identical delivery sets, mover pruning or not.
     assert indexed_digest == linear_digest
@@ -184,14 +191,17 @@ def test_time_aware_index_accelerates_all_mobile_fanout():
     )
 
     # The same mobile regime through the runner: serial vs 4 workers must
-    # digest identically, and the indexed cell must match the linear cell.
+    # digest identically, and the cell must match the reference medium's.
     serial = run_experiment("mobility", seeds=[41], serial=True)
     parallel = run_experiment("mobility", seeds=[41], workers=4)
     serial_digests = [outcome.result_digest for outcome in serial.outcomes]
     parallel_digests = [outcome.result_digest for outcome in parallel.outcomes]
     assert serial.results == parallel.results
     assert serial_digests == parallel_digests
-    assert len(set(serial_digests)) == 1  # indexed cell == linear cell
+    with monkeypatch.context() as patch:
+        patch.setattr(mobility_exp, "Medium", ReferenceMedium)
+        reference = mobility_exp.run_mobility(seed=41)
+    assert reference == serial.results  # production cell == linear cell
 
     BENCH_MOBILITY_PATH.write_text(
         json.dumps(
@@ -216,7 +226,7 @@ def test_time_aware_index_accelerates_all_mobile_fanout():
                     "serial_digests": serial_digests,
                     "workers4_digests": parallel_digests,
                     "digest_match": serial_digests == parallel_digests
-                    and len(set(serial_digests)) == 1,
+                    and reference == serial.results,
                 },
                 "smoke": SMOKE,
             },

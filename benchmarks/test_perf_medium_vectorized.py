@@ -1,9 +1,9 @@
 """Benchmark: the batch delivery pipeline vs the scalar reference loop.
 
-The batch pipeline (``Medium.broadcast`` with ``vectorized=True``, the
-default) replaces the per-receiver scalar loop — position lookup,
-distance, delivery roll, acceptance check, one kernel event per receiver
-— with four batch stages: a cached struct-packed candidate gather
+The batch pipeline (``Medium.broadcast``) replaces the per-receiver
+scalar loop of the reference medium (``tests/reference_medium.py``) —
+linear scan, position lookup, distance, delivery roll, acceptance check,
+one kernel event per receiver — with four batch stages: a cached struct-packed candidate gather
 (**query**), one distances-probabilities-rolls array pass
 (**probability**), one ``accepts_mask`` call per concrete radio class
 (**acceptance**), and a single pooled ``_BatchDelivery`` event per
@@ -22,7 +22,7 @@ breakdown; the stages are disjoint code regions, so their sum is a lower
 bound on the measured vectorized total.
 
 Acceptance: ≥18× end-to-end speedup, and byte-identical delivery logs
-across serial-scalar, serial-vectorized, numpy-free vectorized, and
+across the serial scalar reference, the serial batch medium, and
 ``run_sharded(spec, 4)``.  Results land in ``BENCH_medium_vectorized.json``.
 Setting ``REPRO_BENCH_SMOKE=1`` relaxes the speedup floor (CI smoke on
 noisy runners) — every equality assertion stays strict.
@@ -45,10 +45,12 @@ from repro.radio.base import Device
 from repro.radio.ble import BleRadio
 from repro.radio.medium import Medium
 from repro.sim.kernel import Kernel
+from repro.sim.sharded import engine
 from repro.sim.sharded.engine import run_serial, run_sharded
 from repro.sim.sharded.shard import node_name
 from repro.sim.sharded.spec import PAYLOAD_STRUCT, ScenarioSpec, build_models
 from repro.util import array
+from tests.reference_medium import ReferenceMedium
 
 #: 2000 nodes in a 250 m arena: ~100 candidates per broadcast, the regime
 #: the batch pipeline is built for.  Three beacon rounds with the clock
@@ -63,8 +65,8 @@ SPEC = ScenarioSpec(
     seed=23,
 )
 
-#: The acceptance bar: broadcast *plus* delivery drain, vectorized vs the
-#: scalar loop, on the scenario above.
+#: The acceptance bar: broadcast *plus* delivery drain, batch medium vs
+#: the scalar reference, on the scenario above.
 REQUIRED_SPEEDUP = 18.0
 BENCH_PATH = Path("BENCH_medium_vectorized.json")
 
@@ -131,7 +133,7 @@ class StageTimedMedium(Medium):
             self.stage_s["delivery"] += time.perf_counter() - tick
 
 
-def _timed_run(vectorized: bool, medium_cls=Medium):
+def _timed_run(medium_cls):
     """Build SPEC's population by hand and time broadcast + delivery.
 
     Mirrors :func:`repro.sim.sharded.engine.run_serial` (same models, same
@@ -144,7 +146,7 @@ def _timed_run(vectorized: bool, medium_cls=Medium):
     models = build_models(SPEC)
     kernel = Kernel(seed=SPEC.seed)
     world = World(kernel)
-    medium = medium_cls(kernel, world, vectorized=vectorized)
+    medium = medium_cls(kernel, world)
     records = []
     radios = []
     for index, model in enumerate(models):
@@ -182,24 +184,24 @@ def _best_timed_runs():
     ``min`` is the honest estimator of each pipeline's cost — repetitions
     only ever differ by external machine noise, which inflates.  The two
     configurations *alternate* rather than running back-to-back: the
-    vectorized run is ~20× shorter than the scalar reference, so its
+    vectorized run is ~30× shorter than the scalar reference, so its
     repetitions bunched together can all land inside one busy burst of a
     shared runner while the long scalar runs average across it.
     Alternating spreads both configurations' observations over the same
     wall-clock span, so their minima sample the same quiet windows.
     """
-    vec_s, vec_digest, vec_count, _ = _timed_run(vectorized=True)
-    scalar_s, scalar_digest, scalar_count, _ = _timed_run(vectorized=False)
+    vec_s, vec_digest, vec_count, _ = _timed_run(Medium)
+    scalar_s, scalar_digest, scalar_count, _ = _timed_run(ReferenceMedium)
     for _ in range(TIMED_RUNS - 1):
-        again_s, again_digest, again_count, _ = _timed_run(vectorized=True)
+        again_s, again_digest, again_count, _ = _timed_run(Medium)
         assert again_digest == vec_digest and again_count == vec_count
         vec_s = min(vec_s, again_s)
-        again_s, again_digest, again_count, _ = _timed_run(vectorized=False)
+        again_s, again_digest, again_count, _ = _timed_run(ReferenceMedium)
         assert again_digest == scalar_digest and again_count == scalar_count
         scalar_s = min(scalar_s, again_s)
     # One closing short observation after the last scalar window, so the
     # vectorized minimum covers the full span the scalar one does.
-    again_s, again_digest, again_count, _ = _timed_run(vectorized=True)
+    again_s, again_digest, again_count, _ = _timed_run(Medium)
     assert again_digest == vec_digest and again_count == vec_count
     vec_s = min(vec_s, again_s)
     return vec_s, vec_digest, vec_count, scalar_s, scalar_digest, scalar_count
@@ -213,23 +215,11 @@ def test_vectorized_pipeline_beats_scalar(monkeypatch: pytest.MonkeyPatch):
     assert vec_digest == scalar_digest
     assert vec_count > 0
 
-    # The numpy-free fallback must produce the same bytes (it is the same
-    # pipeline with list comprehensions standing in for ndarray ops).
-    with monkeypatch.context() as patch:
-        patch.setattr(array, "numpy", None)
-        fallback_s, fallback_digest, fallback_count, _ = _timed_run(
-            vectorized=True
-        )
-    assert fallback_digest == vec_digest
-    assert fallback_count == vec_count
-
     # Stage breakdown from a separate instrumented run, so the headline
     # speedup numbers carry zero instrumentation overhead.  Identical
     # seeds → identical bytes, and the pipeline actually exercised every
     # stage; the disjoint buckets sum to (at most) the end-to-end time.
-    staged_s, staged_digest, _, staged = _timed_run(
-        vectorized=True, medium_cls=StageTimedMedium
-    )
+    staged_s, staged_digest, _, staged = _timed_run(StageTimedMedium)
     assert staged_digest == vec_digest
     stages = staged.stage_s
     assert all(stages[name] > 0.0 for name in
@@ -237,10 +227,12 @@ def test_vectorized_pipeline_beats_scalar(monkeypatch: pytest.MonkeyPatch):
     assert sum(stages.values()) <= staged_s
     assert staged.batch_cache_hits > 0  # same-cell senders shared gathers
 
-    # The full engine agrees end-to-end: scalar serial, vectorized serial,
-    # and 4-way sharded runs of the same spec digest identically.
-    serial_vec = run_serial(SPEC, vectorized=True)
-    serial_scalar = run_serial(SPEC, vectorized=False)
+    # The full engine agrees end-to-end: scalar serial, batch serial, and
+    # 4-way sharded runs of the same spec digest identically.
+    serial_vec = run_serial(SPEC)
+    with monkeypatch.context() as patch:
+        patch.setattr(engine, "Medium", ReferenceMedium)
+        serial_scalar = run_serial(SPEC)
     sharded = run_sharded(SPEC, shards=4)
     assert serial_vec.digest == serial_scalar.digest
     assert sharded.digest == serial_vec.digest
@@ -262,7 +254,7 @@ def test_vectorized_pipeline_beats_scalar(monkeypatch: pytest.MonkeyPatch):
     BENCH_PATH.write_text(
         json.dumps(
             {
-                "schema": "repro.bench/medium_vectorized.v2",
+                "schema": "repro.bench/medium_vectorized.v3",
                 "node_count": SPEC.node_count,
                 "arena_m": SPEC.arena_m,
                 "rounds": SPEC.rounds,
@@ -270,7 +262,6 @@ def test_vectorized_pipeline_beats_scalar(monkeypatch: pytest.MonkeyPatch):
                 "records": vec_count,
                 "scalar_s": scalar_s,
                 "vectorized_s": vec_s,
-                "fallback_s": fallback_s,
                 "speedup": speedup,
                 "backend": array.backend_name(),
                 "stages": {
@@ -288,9 +279,8 @@ def test_vectorized_pipeline_beats_scalar(monkeypatch: pytest.MonkeyPatch):
                 "delivery_digest": {
                     "scalar": scalar_digest,
                     "vectorized": vec_digest,
-                    "numpy_free": fallback_digest,
                 },
-                "digests_match": scalar_digest == vec_digest == fallback_digest,
+                "digests_match": scalar_digest == vec_digest,
                 "engine": {
                     "serial_vectorized": serial_vec.digest,
                     "serial_scalar": serial_scalar.digest,

@@ -29,8 +29,7 @@ taint summaries (:mod:`repro.analysis.taint`), and emits:
   .compute_parity_chains`): banned non-correctly-rounded ufuncs, bulk or
   unordered RNG draws, and order-sensitive reductions fire at the
   primitive with the call chain from the delivery-log root in the
-  message.  (VEC002/VEC003 — numpy imports outside the shim and
-  module-scope backend caching — are per-file rules in the visitor.)
+  message.
 
 :func:`analyze_paths` here is the package's public entry point: per-file
 findings plus project findings, globally sorted, byte-identical however
@@ -105,7 +104,7 @@ _SHARDED_PREFIX = "repro/sim/sharded/"
 
 #: VEC001 — ufuncs that are *not* correctly rounded (SIMD kernels differ
 #: from the math module bit-for-bit) plus math.fsum (whose compensated
-#: order-insensitive sum the numpy twin cannot reproduce).  The
+#: order-insensitive sum a numpy batch cannot reproduce).  The
 #: admissible primitives (+ - * /, numpy.sqrt, stable argsort) are
 #: simply absent from this set.
 _VEC_BANNED_UFUNCS = {
@@ -117,7 +116,7 @@ _VEC_BANNED_UFUNCS = {
 }
 
 #: VEC005 — reductions whose association order (numpy's pairwise
-#: summation) differs from the sequential pure-Python accumulation.
+#: summation) differs from the sequential scalar accumulation.
 _VEC_ORDER_SENSITIVE_REDUCTIONS = {
     "numpy.sum",
     "numpy.nansum",
@@ -281,12 +280,12 @@ def _check_vec(info: ModuleInfo, parity: Dict[FunctionInfo, Chain],
                         emit("VEC001", node, chain, f"{dotted}()",
                              f"{dotted}() ({effective}) is not correctly "
                              "rounded — its bits differ from the "
-                             "pure-Python twin")
+                             "scalar reference")
                     elif effective in _VEC_ORDER_SENSITIVE_REDUCTIONS:
                         emit("VEC005", node, chain, f"{dotted}()",
                              f"{dotted}() ({effective}) reduces in "
                              "pairwise order, not the sequential order "
-                             "of the pure-Python twin")
+                             "of the scalar reference")
                 bulk = _vec_bulk_draw(info, aliases, node)
                 if bulk is not None:
                     emit("VEC004", node, chain, f"{_dotted_name(node.func)}()",

@@ -282,8 +282,6 @@ def compute_summaries(graph: ProjectGraph) -> Summaries:
 #: exact geometry, and the trace/energy artifact payload writers.
 PARITY_ROOT_NAMES = frozenset({
     "broadcast",
-    "_broadcast_batch",
-    "_broadcast_scalar",
     "delivery_probabilities",
     "delivery_probability",
     "in_range_mask",
@@ -291,9 +289,9 @@ PARITY_ROOT_NAMES = frozenset({
     "frame_delivered",
     "to_payload",
     "timeline_payload",
-    # Batch delivery pipeline (PR 10): the acceptance and rebucketing
-    # surfaces feed the same delivery logs — one banned ufunc or bulk
-    # draw in any of them breaks cross-backend byte identity.
+    # The acceptance and rebucketing surfaces feed the same delivery
+    # logs — one banned ufunc or bulk draw in any of them breaks byte
+    # identity with the scalar reference.
     "accepts_mask",
     "_acceptance_mask",
     "_delivery_mask",
@@ -305,11 +303,7 @@ PARITY_ROOT_NAMES = frozenset({
 
 #: Classes every method of which is a root (the delivery record writers:
 #: their fields are the delivery log).
-PARITY_ROOT_CLASSES = frozenset({"_Delivery", "_BatchDelivery"})
-
-#: The one sanctioned backend attribute; everything numpy-shaped must
-#: resolve here (``from repro.util import array``; ``array.numpy``).
-SHIM_BACKEND = "repro.util.array.numpy"
+PARITY_ROOT_CLASSES = frozenset({"_BatchDelivery"})
 
 
 def is_parity_root(function: FunctionInfo) -> bool:
@@ -377,14 +371,12 @@ def compute_parity_chains(graph: ProjectGraph) -> Dict[FunctionInfo, Chain]:
 
 
 def numpy_alias_names(info: ModuleInfo, function: FunctionInfo) -> frozenset:
-    """Local names bound to the shim backend inside ``function``.
+    """Local names bound to the numpy module inside ``function``.
 
-    ``np = array.numpy`` (the sanctioned read-per-call idiom) makes
-    ``np`` a numpy handle for the rest of the function, so
-    ``np.hypot(...)`` must count as ``numpy.hypot``.  Module-scope
-    bindings are collected off the module body and apply everywhere in
-    the file (they are *also* a VEC003 finding, but calls through them
-    still deserve their VEC001/VEC005).
+    ``np = numpy`` makes ``np`` a numpy handle for the rest of the
+    function, so ``np.hypot(...)`` must count as ``numpy.hypot``.
+    Module-scope bindings are collected off the module body and apply
+    everywhere in the file.
     """
     names = set()
     bodies = [info.module_body, function]
@@ -398,7 +390,7 @@ def numpy_alias_names(info: ModuleInfo, function: FunctionInfo) -> frozenset:
             if dotted is None:
                 continue
             effective = _effective_dotted(info, dotted)
-            if effective not in (SHIM_BACKEND, "numpy"):
+            if effective != "numpy":
                 continue
             for target in node.targets:
                 if isinstance(target, ast.Name):
@@ -411,15 +403,11 @@ def vec_effective_dotted(
 ) -> str:
     """Like :func:`_effective_dotted`, but numpy-aware.
 
-    Names bound to the shim backend (``aliases``) and dotted paths
-    through it (``array.numpy.sqrt``) are rewritten to the plain
-    ``numpy.*`` spelling so one banned-name set matches every way of
-    reaching the backend.
+    Names bound to the numpy module (``aliases``) are rewritten to the
+    plain ``numpy.*`` spelling so one banned-name set matches every way
+    of reaching it.
     """
     root, _, rest = dotted.partition(".")
     if root in aliases:
         return f"numpy.{rest}" if rest else "numpy"
-    effective = _effective_dotted(info, dotted)
-    if effective == SHIM_BACKEND or effective.startswith(SHIM_BACKEND + "."):
-        return "numpy" + effective[len(SHIM_BACKEND):]
-    return effective
+    return _effective_dotted(info, dotted)

@@ -86,17 +86,6 @@ _DEPRECATED_CELLRESULT_MODULES = {
     "controlled",
 }
 
-#: Spatial-query entry points unified under the SpatialQuery protocol; the
-#: legacy keyword spellings on them are API003 sinks.
-_SPATIAL_QUERY_METHODS = {"nodes_within", "query", "query_arrays", "_candidates"}
-_LEGACY_SPATIAL_KWARGS = {"center", "cutoff"}
-
-#: Module spellings of the numpy shim (VEC003): importing its ``numpy``
-#: attribute — or assigning it at module scope — freezes backend selection
-#: at import time ("array" covers ``from .array import numpy`` inside the
-#: util package).
-_SHIM_BACKEND_MODULES = {"repro.util.array", "array"}
-
 
 def normalize_path(path) -> str:
     """A stable posix path key, rooted at the ``repro`` package when inside it.
@@ -203,13 +192,6 @@ class AnalysisVisitor(ast.NodeVisitor):
                     f"import of {alias.name!r} (global RNG state); "
                     "use repro.util.rng.SeededRng",
                 )
-            if alias.name == "numpy" or alias.name.startswith("numpy."):
-                self._emit(
-                    "VEC002", node,
-                    f"import of {alias.name!r} outside the repro.util.array "
-                    "shim; read array.numpy per call so the pure-Python "
-                    "fallback stays reachable",
-                )
         self.generic_visit(node)
 
     def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
@@ -225,22 +207,6 @@ class AnalysisVisitor(ast.NodeVisitor):
                 "DET001", node,
                 "import of numpy.random (global RNG state); "
                 "use repro.util.rng.SeededRng",
-            )
-        if module == "numpy" or module.startswith("numpy."):
-            self._emit(
-                "VEC002", node,
-                f"import from {module!r} outside the repro.util.array "
-                "shim; read array.numpy per call so the pure-Python "
-                "fallback stays reachable",
-            )
-        if module in _SHIM_BACKEND_MODULES and any(
-            alias.name == "numpy" for alias in node.names
-        ):
-            self._emit(
-                "VEC003", node,
-                "importing the shim's numpy attribute freezes backend "
-                "selection at import time; bind `np = array.numpy` inside "
-                "the function body instead",
             )
         if module in _DEPRECATED_CELLRESULT_MODULES and any(
             alias.name == "CellResult" for alias in node.names
@@ -333,19 +299,6 @@ class AnalysisVisitor(ast.NodeVisitor):
                     "since_charge_mas); use "
                     "average_ma(since=snapshot, floor_ma=...)",
                 )
-            if node.func.attr in _SPATIAL_QUERY_METHODS:
-                legacy = sorted(
-                    keyword.arg for keyword in node.keywords
-                    if keyword.arg in _LEGACY_SPATIAL_KWARGS
-                )
-                if legacy:
-                    spelled = ", ".join(f"{name}=" for name in legacy)
-                    self._emit(
-                        "API003", node,
-                        f"legacy spatial-query keyword(s) {spelled} on "
-                        f".{node.func.attr}(); the SpatialQuery protocol "
-                        "spells them (origin, radius, now)",
-                    )
             if node.func.attr in _MIRROR_MUTATING_METHODS:
                 self._emit(
                     "FRK004", node,
@@ -427,36 +380,7 @@ class AnalysisVisitor(ast.NodeVisitor):
             self._emit_frk001(node, mutated)
         for target in node.targets:
             self._check_mirror_attribute(target)
-        self._check_module_backend_cache(node)
         self.generic_visit(node)
-
-    # -- VEC003: shim backend cached at module scope --------------------------
-
-    def _check_module_backend_cache(self, node: ast.Assign) -> None:
-        """Flag module-scope ``np = array.numpy``.
-
-        A module-level binding reads ``repro.util.array.numpy`` once, at
-        import time — monkeypatching the shim (or REPRO_NO_NUMPY in a
-        later interpreter) never reaches it.  The same expression inside
-        a function body is the sanctioned read-per-call idiom and stays
-        silent.
-        """
-        if self.scope is not self.builder.module_scope:
-            return
-        dotted = _dotted_name(node.value)
-        if dotted is None or not dotted.endswith(".numpy"):
-            return
-        root, _, rest = dotted.partition(".")
-        resolved = self.scope.resolve(root)
-        origin = resolved[1].import_origin if resolved else None
-        effective = f"{origin}.{rest}" if origin and rest else (origin or dotted)
-        if effective in {"repro.util.array.numpy", "array.numpy"}:
-            self._emit(
-                "VEC003", node,
-                f"{dotted} cached at module scope freezes backend "
-                "selection at import time; bind np = array.numpy inside "
-                "the function body (read per call)",
-            )
 
     def visit_AugAssign(self, node: ast.AugAssign) -> None:
         mutated = dataflow.mutates_module_state(

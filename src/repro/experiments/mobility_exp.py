@@ -7,12 +7,12 @@ transmission.  This experiment walks every node with
 :class:`~repro.phy.mobility.RandomWaypoint` inside a city-block arena and
 beacons periodically, then fingerprints the full delivery log.
 
-It runs as the ``mobility`` grid under ``python -m repro.runner``: one
-cell per medium configuration (``indexed`` uses the epoch-bucketed
-time-aware grid, ``linear`` the exhaustive scan).  Both cells must produce
-*identical* results — same counters, same delivery log digest — which is
-the machine-checked form of the index's "prunes work, never outcomes"
-contract under mobility (and, via the runner, of serial == parallel).
+It runs as the ``mobility`` grid under ``python -m repro.runner``, one
+cell.  The tier-1 suite runs the same scene on the scalar reference
+medium and requires an identical cell — same counters, same delivery log
+digest — the machine-checked form of the batch medium's "prunes work,
+never outcomes" contract under mobility (and, via the runner, of serial
+== parallel).
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ from repro.radio.ble import BleRadio
 from repro.radio.medium import Medium
 from repro.sim.kernel import Kernel
 
-#: Medium configurations, one runner cell each.
-VARIANTS = ("indexed", "linear")
+#: The grid's one cell: every node walks.
+CELL = "all-mobile"
 
 #: Arena edge in meters.  At 120 nodes over 800 m² blocks the BLE
 #: neighborhood of a walker is a handful of nodes, so pruning has room to
@@ -49,10 +49,10 @@ _SPEEDS = (1.0, 1.25, 1.5, 1.75, 2.0)
 
 @dataclass(frozen=True)
 class MobilityCell:
-    """One medium configuration's outcome.
+    """The scene's outcome.
 
-    Deliberately carries no variant tag: the ``indexed`` and ``linear``
-    cells must compare (and digest) equal, field for field.
+    Deliberately carries no medium tag: the production and reference
+    media must produce equal cells, field for field.
     """
 
     node_count: int
@@ -64,21 +64,11 @@ class MobilityCell:
     delivery_digest: str
 
 
-def iter_cells() -> Tuple[str, ...]:
-    """Cell enumeration hook, mirroring the other experiment modules."""
-    return VARIANTS
-
-
-def run_cell(variant: str, node_count: int = NODE_COUNT,
-             seed: int = 41) -> MobilityCell:
-    """Run the all-mobile beacon scenario under one medium configuration."""
-    if variant not in VARIANTS:
-        raise ValueError(
-            f"unknown variant {variant!r} (choose from: {', '.join(VARIANTS)})"
-        )
+def run_scene(node_count: int = NODE_COUNT, seed: int = 41) -> MobilityCell:
+    """Run the all-mobile beacon scenario."""
     kernel = Kernel(seed=seed)
     world = World(kernel)
-    medium = Medium(kernel, world, use_spatial_index=(variant == "indexed"))
+    medium = Medium(kernel, world)
     deliveries: List[Tuple[str, bytes, float]] = []
     radios = []
     for i in range(node_count):
@@ -124,4 +114,4 @@ def run_cell(variant: str, node_count: int = NODE_COUNT,
 
 def run_mobility(seed: int = 41) -> List[MobilityCell]:
     """Serial driver: every cell of the mobility grid, declaration order."""
-    return [run_cell(variant, seed=seed) for variant in VARIANTS]
+    return [run_scene(seed=seed)]

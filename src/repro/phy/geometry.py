@@ -21,8 +21,8 @@ class Position:
         (numpy) distance kernel in :mod:`repro.util.array` reproduces this
         value bit-for-bit — ``hypot``'s extra-precision algorithm cannot
         be matched by any vectorized expression.  Keeping one canonical
-        formula is what lets scalar and vectorized broadcasts share
-        byte-identical delivery logs.
+        formula is what lets the batch medium and its scalar reference
+        share byte-identical delivery logs.
         """
         dx = self.x - other.x
         dy = self.y - other.y

@@ -36,44 +36,11 @@ from repro.util import array
 _Cell = Tuple[int, int]
 
 
-class CandidateArrays:
-    """Struct-of-arrays result of a batch spatial query.
-
-    ``items[i]`` sits at ``(xs[i], ys[i])`` — exactly the floats the
-    scalar path would see (``position_at(now)`` for movers, the stored
-    position for statics), so a vectorized distance kernel over ``xs/ys``
-    is bit-identical to per-item ``Position.distance_to``.  Items the
-    index holds no position for (the roaming list of a plain
-    :class:`UniformGridIndex`, which indexes bare positions, not mobility
-    models) are returned in ``unpositioned`` instead; callers resolve
-    those few themselves.  ``unpositioned + items`` is elementwise equal
-    to what :meth:`SpatialQuery.query` returns for the same arguments.
-    """
-
-    __slots__ = ("items", "xs", "ys", "unpositioned")
-
-    def __init__(
-        self,
-        items: List[Hashable],
-        xs: List[float],
-        ys: List[float],
-        unpositioned: List[Hashable],
-    ) -> None:
-        self.items = items
-        self.xs = xs
-        self.ys = ys
-        self.unpositioned = unpositioned
-
-    def __len__(self) -> int:
-        return len(self.items) + len(self.unpositioned)
-
-
 class SpatialQuery(Protocol):
     """The one spelling of a range query, shared tree-wide.
 
-    Every spatial lookup — index ``query``/``query_arrays``,
-    ``Medium._candidates``, ``World.nodes_within`` — takes the same three
-    parameters under the same names:
+    Every spatial lookup — index ``query`` and ``World.nodes_within`` —
+    takes the same three parameters under the same names:
 
     ``origin``
         The :class:`~repro.phy.geometry.Position` at the center of the
@@ -89,21 +56,13 @@ class SpatialQuery(Protocol):
     within ``radius`` of ``origin`` at ``now`` — callers apply the exact
     distance test — and its order is a pure function of the index's
     mutation history and the query arguments (bucket scan order here;
-    facades re-sort: the medium by radio attach order, the world by node
-    name).  The legacy keyword spellings (``center=``, ``cutoff=``) are
-    retired and flagged by the API003 lint rule.
+    facades re-sort: the world by node name).
     """
 
     def query(
         self, origin: Position, radius: float, now: float = 0.0
     ) -> List[Hashable]:
-        """Candidate items as a list (scalar consumers)."""
-        ...
-
-    def query_arrays(
-        self, origin: Position, radius: float, now: float = 0.0
-    ) -> CandidateArrays:
-        """Candidates as struct-packed parallel arrays (batch consumers)."""
+        """Candidate items as a list."""
         ...
 
 #: Epoch length clamp for :class:`TimeAwareGridIndex` (seconds of sim time).
@@ -124,14 +83,6 @@ _EPOCH_CELL_FRACTION = 0.5
 #: epoch length (seconds).  ``max_displacement(now, now + probe) / probe``
 #: is an upper bound on the mover's speed over the near future.
 _SPEED_PROBE_S = 1.0
-
-#: Hard cap on the per-(now, version) mover-position memo in
-#: :meth:`TimeAwareGridIndex.query_arrays`.  The memo already evicts
-#: wholesale on every stamp change; the cap additionally bounds its
-#: footprint *within* one stamp for degenerate scenarios (a broadcast
-#: round sweeping an enormous mover population), trading repeat
-#: ``position_at`` calls for memory once full.
-_MOVER_MEMO_CAP = 65536
 
 
 class _Bucket:
@@ -158,8 +109,7 @@ class UniformGridIndex:
             raise ValueError(f"cell_size must be > 0, got {cell_size}")
         self.cell_size = cell_size
         # Struct-of-arrays buckets: items plus their exact coordinates in
-        # parallel lists, so query_arrays hands batch consumers positions
-        # without touching the item objects.
+        # parallel lists (see position_of).
         self._cells: Dict[_Cell, _Bucket] = {}
         self._where: Dict[Hashable, Optional[_Cell]] = {}
         # The roaming set as a list (query order) plus an item → slot map, so
@@ -259,7 +209,7 @@ class UniformGridIndex:
         new_cell = None if position is None else self._cell_of(position)
         if old_cell == new_cell and old_cell is not None:
             # Same bucket: no rewiring, but the stored coordinates must
-            # track the exact new position for query_arrays.
+            # track the exact new position.
             bucket = self._cells[old_cell]
             index = bucket.items.index(item)
             bucket.xs[index] = position.x
@@ -297,30 +247,6 @@ class UniformGridIndex:
                 if bucket is not None:
                     candidates.extend(bucket.items)
         return candidates
-
-    def query_arrays(
-        self, origin: Position, radius: float, now: float = 0.0
-    ) -> CandidateArrays:
-        """Batch twin of :meth:`query`: struct-packed parallel arrays.
-
-        Bucketed candidates arrive in ``items/xs/ys`` (the same bucket
-        scan order as :meth:`query`); roaming items — whose position this
-        index does not know — in ``unpositioned``.  The concatenation
-        ``unpositioned + items`` equals :meth:`query`'s list exactly.
-        """
-        x_lo, x_hi, y_lo, y_hi = self._cell_span(origin, radius)
-        cells = self._cells
-        items: List[Hashable] = []
-        xs: List[float] = []
-        ys: List[float] = []
-        for cx in range(x_lo, x_hi + 1):
-            for cy in range(y_lo, y_hi + 1):
-                bucket = cells.get((cx, cy))
-                if bucket is not None:
-                    items.extend(bucket.items)
-                    xs.extend(bucket.xs)
-                    ys.extend(bucket.ys)
-        return CandidateArrays(items, xs, ys, list(self._roaming))
 
     def _cell_span(
         self, origin: Position, radius: float
@@ -399,13 +325,6 @@ class TimeAwareGridIndex:
         self._valid_from = 0.0
         self._valid_to = -1.0  # nothing bucketed yet: first query rebuckets
         self._tune_pending = False
-        # Mutation counter + per-(now, version) mover-position memo for
-        # query_arrays.  Broadcast-heavy rounds issue many queries at one
-        # timestamp; each mover's position_at(now) (pure in time) is then
-        # computed once per round instead of once per query it appears in.
-        self._version = 0
-        self._mover_positions: Dict[Hashable, Tuple[float, float]] = {}
-        self._mover_positions_key: Optional[Tuple[float, int]] = None
 
     def __len__(self) -> int:
         return len(self._static) + len(self._mobility)
@@ -450,7 +369,6 @@ class TimeAwareGridIndex:
         """Add ``item`` with its mobility model."""
         if item in self:
             raise ValueError(f"item {item!r} already indexed")
-        self._version += 1
         if type(mobility) is Static:
             self._static.insert(item, mobility.position)
             return
@@ -461,7 +379,6 @@ class TimeAwareGridIndex:
 
     def remove(self, item: Hashable) -> None:
         """Remove ``item``; raises ``KeyError`` if absent."""
-        self._version += 1
         if item in self._static:
             self._static.remove(item)
             return
@@ -519,7 +436,7 @@ class TimeAwareGridIndex:
         end = (epoch + 1) * length
         # Classify first, position later: all epoch-start positions for a
         # class of movers are computed in one batch (positions_for →
-        # positions_at → one repro.util.array pass for closed-form models)
+        # positions_at → one numpy pass for closed-form models)
         # and bulk-inserted.  Order parity with the old one-at-a-time
         # loop: fine movers bulk-insert in registry order (bucket order
         # preserved), roaming inserts never touch buckets, and the
@@ -581,45 +498,6 @@ class TimeAwareGridIndex:
             return candidates
         candidates.extend(self._mover_candidates(origin, radius, now))
         return candidates
-
-    def query_arrays(
-        self, origin: Position, radius: float, now: float = 0.0
-    ) -> CandidateArrays:
-        """Batch twin of :meth:`query`: every candidate with its position.
-
-        Items arrive in exactly :meth:`query`'s order.  Statics carry
-        their stored (time-invariant) coordinates; movers — including
-        roaming unbounded ones — are resolved to ``position_at(now)``,
-        the same floats the scalar path reads per item, memoized per
-        (``now``, mutation version) so a broadcast round touches each
-        mover's model once.  The memo is evicted wholesale on every
-        stamp change and hard-capped at ``_MOVER_MEMO_CAP`` entries
-        (overflow recomputes instead of caching).  ``unpositioned`` is
-        always empty here: this index knows every item's mobility model.
-        """
-        arrays = self._static.query_arrays(origin, radius)
-        if not self._mobility:
-            return arrays
-        items = arrays.items
-        xs = arrays.xs
-        ys = arrays.ys
-        key = (now, self._version)
-        if key != self._mover_positions_key:
-            self._mover_positions = {}
-            self._mover_positions_key = key
-        memo = self._mover_positions
-        mobilities = self._mobility
-        for item in self._mover_candidates(origin, radius, now):
-            pos = memo.get(item)
-            if pos is None:
-                point = mobilities[item].position_at(now)
-                pos = (point.x, point.y)
-                if len(memo) < _MOVER_MEMO_CAP:
-                    memo[item] = pos
-            items.append(item)
-            xs.append(pos[0])
-            ys.append(pos[1])
-        return arrays
 
     def _mover_candidates(
         self, origin: Position, radius: float, now: float

@@ -28,8 +28,9 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
+import numpy as np
+
 from repro.phy.geometry import Position
-from repro.util import array
 from repro.util.rng import SeededRng
 from repro.util.validation import check_non_negative, check_positive
 
@@ -52,8 +53,8 @@ class MobilityModel:
         The default delegates elementwise, so stateful models (e.g.
         :class:`RandomWaypoint`'s lazy trajectory) and third-party models
         that only implement the scalar surface inherit a correct batch
-        form; closed-form models override with an admissible
-        :mod:`repro.util.array` pass.
+        form; closed-form models override with one numpy pass built from
+        correctly-rounded operations only.
         """
         xs: List[float] = []
         ys: List[float] = []
@@ -136,9 +137,6 @@ class Linear(MobilityModel):
         if cls.position_at is not Linear.position_at:
             # A subclass redefined the scalar reference without a batch
             # twin — delegate elementwise so the two can never disagree.
-            return MobilityModel.positions_at.__func__(cls, models, time)
-        np = array.numpy
-        if np is None:
             return MobilityModel.positions_at.__func__(cls, models, time)
         count = len(models)
         starts = np.fromiter(

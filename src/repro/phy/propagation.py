@@ -12,11 +12,11 @@ Every model answers both scalar questions (``delivery_probability``,
 ``in_range``) and their batch twins (``delivery_probabilities``,
 ``in_range_mask``) over a whole distance array at once.  The batch
 methods are **defined** as the elementwise application of the scalar
-ones — bit-identical, not approximately equal — so vectorized and scalar
-broadcast pipelines produce the same delivery logs.  The default batch
-implementations delegate to the scalar methods, so third-party models
-that only override the scalar surface keep working (and stay correct
-under the vectorized medium automatically).
+ones — bit-identical, not approximately equal — so the batch broadcast
+pipeline produces the same delivery logs as a scalar per-receiver loop.
+The default batch implementations delegate to the scalar methods, so
+third-party models that only override the scalar surface keep working
+(and stay correct under the medium's batch pipeline automatically).
 
 Stochastic delivery draws exactly one uniform variate per receiver whose
 delivery probability ``p`` satisfies ``0 < p < 1`` — never for certain
@@ -25,8 +25,8 @@ delivery probability ``p`` satisfies ``0 < p < 1`` — never for certain
 of the candidate receivers, sender excluded** (the order radios attached
 to the medium).  This draw-order contract is part of the public API:
 batch implementations compute probabilities however they like, but must
-spend the RNG stream in exactly this order, which is what keeps scalar,
-vectorized, numpy-free, indexed, and sharded runs byte-identical.
+spend the RNG stream in exactly this order, which is what keeps the
+batch medium, its scalar reference, and sharded runs byte-identical.
 """
 
 from __future__ import annotations
@@ -35,7 +35,8 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-from repro.util import array
+import numpy as np
+
 from repro.util.rng import SeededRng
 from repro.util.validation import check_positive
 
@@ -55,7 +56,7 @@ class PropagationModel:
         """Batch twin of :meth:`delivery_probability`.
 
         Returns a sequence parallel to ``distances`` (an ndarray when the
-        implementation is numpy-aware and numpy is active, else a list)
+        implementation is numpy-aware, else a list)
         whose every element is **bit-identical** to the scalar method at
         that distance.  The default delegates elementwise, so models that
         only implement the scalar surface inherit a correct batch form.
@@ -81,7 +82,7 @@ class PropagationModel:
         may prune such receivers without perturbing any seed stream.
         Models without a hard cutoff (every distance keeps a nonzero
         probability, hence an RNG draw per receiver) must return None so
-        callers fall back to the exhaustive scan.
+        callers consider every receiver.
         """
         return None
 
@@ -96,20 +97,12 @@ class UnitDisk(PropagationModel):
         return 1.0 if distance <= self.radius else 0.0
 
     def delivery_probabilities(self, distances: Sequence[float]):
-        np = array.numpy
-        if np is not None:
-            d = np.asarray(distances, dtype=np.float64)
-            # A <= comparison then a 0/1 cast: exact, no rounding involved.
-            return (d <= self.radius).astype(np.float64)
-        radius = self.radius
-        return [1.0 if d <= radius else 0.0 for d in distances]
+        d = np.asarray(distances, dtype=np.float64)
+        # A <= comparison then a 0/1 cast: exact, no rounding involved.
+        return (d <= self.radius).astype(np.float64)
 
     def in_range_mask(self, distances: Sequence[float]):
-        np = array.numpy
-        if np is not None:
-            return np.asarray(distances, dtype=np.float64) <= self.radius
-        radius = self.radius
-        return [d <= radius for d in distances]
+        return np.asarray(distances, dtype=np.float64) <= self.radius
 
     def max_range(self) -> Optional[float]:
         return self.radius
@@ -141,33 +134,25 @@ class SoftDisk(PropagationModel):
         return 1.0 - (distance - self.inner) / (self.outer - self.inner)
 
     def delivery_probabilities(self, distances: Sequence[float]):
-        np = array.numpy
-        if np is not None:
-            d = np.asarray(distances, dtype=np.float64)
-            # The falloff is plain IEEE-754 arithmetic (sub/sub/div/sub),
-            # which numpy evaluates bit-identically to the scalar method.
-            # Guard the plateau/floor with where() *after* evaluating the
-            # ramp everywhere; inner == outer only reaches the division
-            # when neither plateau applies, which that degenerate model
-            # makes impossible, so silence the spurious 0/0 warning.
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ramp = 1.0 - (d - self.inner) / (self.outer - self.inner)
-            return np.where(
-                d <= self.inner, 1.0, np.where(d >= self.outer, 0.0, ramp)
-            )
-        probability = self.delivery_probability
-        return [probability(d) for d in distances]
+        d = np.asarray(distances, dtype=np.float64)
+        # The falloff is plain IEEE-754 arithmetic (sub/sub/div/sub),
+        # which numpy evaluates bit-identically to the scalar method.
+        # Guard the plateau/floor with where() *after* evaluating the
+        # ramp everywhere; inner == outer only reaches the division
+        # when neither plateau applies, which that degenerate model
+        # makes impossible, so silence the spurious 0/0 warning.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ramp = 1.0 - (d - self.inner) / (self.outer - self.inner)
+        return np.where(
+            d <= self.inner, 1.0, np.where(d >= self.outer, 0.0, ramp)
+        )
 
     def in_range_mask(self, distances: Sequence[float]):
-        np = array.numpy
-        if np is not None:
-            # in_range == delivery_probability > 0, and the probabilities
-            # are bit-identical to the scalar method — deriving the mask
-            # from them keeps the float edge cases (the ramp can round to
-            # exactly 0.0 one ulp below `outer`) in lockstep.
-            return self.delivery_probabilities(distances) > 0.0
-        in_range = self.in_range
-        return [in_range(d) for d in distances]
+        # in_range == delivery_probability > 0, and the probabilities are
+        # bit-identical to the scalar method — deriving the mask from them
+        # keeps the float edge cases (the ramp can round to exactly 0.0
+        # one ulp below `outer`) in lockstep.
+        return self.delivery_probabilities(distances) > 0.0
 
     def max_range(self) -> Optional[float]:
         return self.outer
@@ -211,8 +196,7 @@ class LogDistance(PropagationModel):
     def delivery_probabilities(self, distances: Sequence[float]) -> List[float]:
         # Deliberately a scalar loop, not np.log10/np.power: numpy's SIMD
         # transcendentals are not bit-identical to the math module, and the
-        # batch contract demands exact equality.  LogDistance has no
-        # max_range, so it never sits on the indexed hot path anyway.
+        # batch contract demands exact equality.
         probability = self.delivery_probability
         return [probability(float(d)) for d in distances]
 

@@ -11,7 +11,6 @@ runtime twin of the FRK004 lint rule.
 
 from __future__ import annotations
 
-import warnings
 from contextlib import contextmanager
 from operator import attrgetter
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
@@ -96,18 +95,12 @@ class WorldNode:
 
 
 class World:
-    """Registry of :class:`WorldNode` objects sharing one kernel clock.
+    """Registry of :class:`WorldNode` objects sharing one kernel clock."""
 
-    ``use_spatial_index=False`` keeps every range query on the exhaustive
-    linear scan — the reference behaviour equality tests compare against.
-    """
-
-    def __init__(self, kernel: Kernel, use_spatial_index: bool = True) -> None:
+    def __init__(self, kernel: Kernel) -> None:
         self.kernel = kernel
         self._nodes: Dict[str, WorldNode] = {}
-        self._index: Optional[TimeAwareGridIndex] = (
-            TimeAwareGridIndex(WORLD_GRID_CELL_M) if use_spatial_index else None
-        )
+        self._index = TimeAwareGridIndex(WORLD_GRID_CELL_M)
         # Immutable tuple: snapshot semantics for listeners firing during
         # iteration without copying the list on every single move event.
         self._move_listeners: Tuple[Callable[[WorldNode], None], ...] = ()
@@ -117,14 +110,13 @@ class World:
         """Register ``listener(node)`` for mobility-model changes.
 
         Fired by :meth:`WorldNode.move_to` / :meth:`WorldNode.set_mobility`;
-        spatial indexes layered over the world (e.g. the radio medium's)
-        re-bucket the node's artifacts on this signal.
+        caches layered over the world (e.g. the radio medium's per-instant
+        positions) drop their stale state on this signal.
         """
         self._move_listeners = self._move_listeners + (listener,)
 
     def _mobility_changed(self, node: WorldNode) -> None:
-        if self._index is not None:
-            self._index.update(node, node.mobility)
+        self._index.update(node, node.mobility)
         for listener in self._move_listeners:
             listener(node)
 
@@ -145,8 +137,7 @@ class World:
             raise ValueError("provide position or mobility, not both")
         node = WorldNode(self, name, mobility)
         self._nodes[name] = node
-        if self._index is not None:
-            self._index.insert(node, mobility)
+        self._index.insert(node, mobility)
         return node
 
     def add_mirror_node(
@@ -187,8 +178,7 @@ class World:
         if name not in self._nodes:
             raise KeyError(f"no node named {name!r}")
         node = self._nodes.pop(name)
-        if self._index is not None:
-            self._index.remove(node)
+        self._index.remove(node)
 
     def node(self, name: str) -> WorldNode:
         """Look up a node by name."""
@@ -205,48 +195,27 @@ class World:
 
     def nodes_within(
         self,
-        origin: Optional[WorldNode] = None,
-        radius: float = 0.0,
+        origin: WorldNode,
+        radius: float,
         now: Optional[float] = None,
-        *,
-        center: Optional[WorldNode] = None,
     ) -> List[WorldNode]:
         """All other nodes within ``radius`` meters of ``origin``, by name order.
 
         Follows the :class:`~repro.phy.index.SpatialQuery` protocol
         spelling ``(origin, radius, now)``; ``origin`` is the node at the
         center of the query disk and ``now`` defaults to the kernel clock.
-        The pre-protocol keyword ``center=`` still works under a
-        :class:`DeprecationWarning` (the API003 lint rule flags callers).
 
         Served from the time-aware grid: only nodes in cells overlapping
         the (mobility-inflated) query disk take the exact distance test,
         instead of every node in the world.
         """
-        if center is not None:
-            if origin is not None:
-                raise TypeError("pass origin= or the deprecated center=, not both")
-            warnings.warn(
-                "World.nodes_within(center=...) is deprecated; the "
-                "SpatialQuery protocol spells it nodes_within(origin, "
-                "radius, now)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            origin = center
-        if origin is None:
-            raise TypeError("nodes_within() missing the origin node")
         if now is None:
             now = self.kernel.now
         point = origin.mobility.position_at(now)
-        if self._index is None:
-            candidates: Iterator[WorldNode] = iter(self._nodes.values())
-        else:
-            candidates = iter(self._index.query(point, radius, now))
         return sorted(
             (
                 node
-                for node in candidates
+                for node in self._index.query(point, radius, now)
                 if node is not origin
                 and point.distance_to(node.mobility.position_at(now)) <= radius
             ),

@@ -220,8 +220,6 @@ class BleRadio(Radio):
         self._scan_duty = self._scan_config.duty
         self._scan_handler = handler
         self._scan_active = True
-        if self._scan_duty < 1.0:
-            self.medium._duty_cycled_scanners += 1
         self.medium._accept_version += 1
         self.meter.set_draw("ble.scan", BLE_SCAN_MA * self._scan_duty)
 
@@ -231,8 +229,6 @@ class BleRadio(Radio):
             return
         self._scan_handler = None
         self._scan_active = False
-        if self._scan_duty < 1.0:
-            self.medium._duty_cycled_scanners -= 1
         self.medium._accept_version += 1
         self.meter.set_draw("ble.scan", 0.0)
 
@@ -280,18 +276,6 @@ class BleRadio(Radio):
         # later radio's scanning.
         payload = frame.payload
         sender_address = frame.sender.address
-        if frame.sender.medium._duty_cycled_scanners == 0:
-            # No actively-scanning radio on this medium is duty-cycled,
-            # and _deliver only ever runs on actively-scanning radios
-            # (acceptance requires a handler), so every duty test below
-            # would be False and no scan-window RNG would roll: the same
-            # loop minus the dead branch.
-            for radio, distance in zip(radios, distances):
-                radio.frames_heard += 1
-                handler = radio._scan_handler
-                if handler is not None:
-                    handler(payload, sender_address, distance)
-            return
         for radio, distance in zip(radios, distances):
             if radio._scan_duty < 1.0 and not radio._scan_rng.bernoulli(
                 radio._scan_duty

@@ -6,32 +6,22 @@ medium decides *who can hear* a transmission; receiver radios decide what to
 do with it (scan-window gating, mesh membership, etc.) via
 ``_accepts_frame``.
 
-Frame fan-out is served from a per-technology time-aware grid index: a
-broadcast only distance-tests the radios bucketed in grid cells within the
-technology's range — inflated by the worst-case intra-epoch displacement
-of mobile nodes, which are bucketed at their epoch-start positions — plus
-any movers in the coarse sprinter grid whose inflated cells overlap the
-query.  The pruning is exact: a pruned radio is one the propagation model
-gives delivery probability 0, which neither receives the frame nor
-consumes randomness — so indexed and linear scans produce bit-identical
-simulations.  Epoch rebucketing is driven lazily off kernel time inside
-the query, adding no event-queue traffic.
+The broadcast pipeline
+----------------------
 
-Vectorized broadcast and the batch delivery pipeline
-----------------------------------------------------
-
-By default (``vectorized=True``) a broadcast runs in four batch stages,
-each a separately overridable seam:
+A broadcast runs in four batch stages, each a separately overridable seam:
 
 1. **query** — :meth:`Medium._cell_batch` returns every candidate with
-   its position as struct-packed parallel arrays, cached per (technology,
-   grid cell) within one (timestamp, attach/move version) so a beacon
-   round's many same-cell senders share one gather + attach-order sort
-   (hit/miss counts in ``batch_cache_hits``/``batch_cache_misses``).
+   its position as parallel numpy arrays.  Once per (timestamp,
+   attach/move version) :meth:`Medium._kind_arrays` positions every radio
+   of the technology and bins it into square cells whose side is the
+   model's cutoff (``max_range()``); a cell's batch is then a few sorted
+   slices plus one distance trim, cached per (technology, cell) so a
+   beacon round's many same-cell senders share one gather (hit/miss
+   counts in ``batch_cache_hits``/``batch_cache_misses``).  A model with
+   no cutoff gets one batch holding every radio of the technology.
 2. **probability** — :meth:`Medium._delivery_mask` computes distances,
-   delivery probabilities, and the RNG delivery rolls in one numpy pass
-   (or a pure-Python twin when numpy is absent — bit-identical by the
-   :mod:`repro.util.array` contract).
+   delivery probabilities, and the RNG delivery rolls in one numpy pass.
 3. **acceptance** — :meth:`Medium._acceptance_mask` asks each concrete
    radio class for one ``accepts_mask`` over its receivers instead of N
    virtual ``_accepts_frame`` calls; acceptance draws no RNG, so the
@@ -42,25 +32,31 @@ each a separately overridable seam:
    re-check is the same acceptance mask, with ``_deliver`` side effects
    running in ascending attach order over it.
 
-The cache's candidate set is slightly larger than a per-origin query (it
-covers the whole cell); by the exactness invariant above the extra
-candidates have delivery probability 0 and change nothing.
+A cell's batch holds more radios than any one sender can reach.  The
+surplus lies beyond the cutoff, where the model's delivery probability
+is exactly 0: no frame, and no RNG draw.
 
-The RNG draw-order contract (see :mod:`repro.phy.propagation`) is what
-keeps all of this byte-identical to the scalar loop: one uniform draw per
+The semantics are those of the scalar one-receiver-at-a-time loop the
+test suite keeps as its oracle: scan every radio of the kind in attach
+order, sender excluded; ``Position.distance_to``, ``frame_delivered``,
+then ``_accepts_frame``; one arrival per receiver, re-checked on
+arrival.  The RNG draw-order contract (see :mod:`repro.phy.propagation`)
+is what keeps the batch byte-identical to it: one uniform draw per
 candidate with ``0 < p < 1``, consumed in ascending attach order with the
-sender excluded — exactly the draws, and the order, of the scalar path.
+sender excluded.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from itertools import compress
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.phy.geometry import Position
-from repro.phy.index import TimeAwareGridIndex
-from repro.phy.propagation import PropagationModel, UnitDisk, frame_delivered
+from repro.phy.propagation import PropagationModel, UnitDisk
 from repro.phy.world import World, WorldNode
 from repro.radio.base import Radio
 from repro.radio.frame import Frame, RadioKind
@@ -93,50 +89,20 @@ class _MIXED:
     """
 
 
-class _Delivery:
-    """One scheduled frame arrival: a pooled, preallocated callable.
-
-    Replaces the per-delivery closure ``broadcast`` used to build; a slotted
-    instance binds the receiver and frame with less allocation and keeps the
-    delivery-time re-check (the receiver may have been disabled, or stopped
-    scanning, during the frame's airtime).  Instances are recycled through
-    ``Medium._delivery_pool``: on firing, the payload moves to locals, the
-    slots are cleared, and the shell returns to the pool *before* the
-    delivery side effects run — kernel events are one-shot, so a nested
-    broadcast inside ``_deliver`` may safely repopulate the shell.
-    """
-
-    __slots__ = ("medium", "receiver", "frame", "distance")
-
-    def __init__(self, medium: "Medium", receiver: Radio, frame: Frame,
-                 distance: float) -> None:
-        self.medium = medium
-        self.receiver = receiver
-        self.frame = frame
-        self.distance = distance
-
-    def __call__(self) -> None:
-        medium = self.medium
-        receiver = self.receiver
-        frame = self.frame
-        distance = self.distance
-        self.receiver = None
-        self.frame = None
-        medium._delivery_pool.append(self)
-        medium._execute_delivery(receiver, frame, distance)
-
-
 class _BatchDelivery:
     """All of one broadcast's arrivals as a single pooled scheduled event.
 
-    The vectorized broadcast schedules one kernel event per transmission
-    instead of one per receiver.  Arrival semantics are unchanged: the
-    same per-receiver re-check runs at the same instant — as one
+    The broadcast schedules one kernel event per transmission instead of
+    one per receiver.  Arrival semantics are those of per-receiver events:
+    the same per-receiver re-check runs at the same instant — as one
     acceptance mask per batch — and ``_deliver`` side effects run in
-    ascending attach order, exactly the order the scalar path's
-    per-receiver events (scheduled back-to-back, hence contiguous in the
-    kernel's same-timestamp FIFO) would run in.  Shells recycle through
-    ``Medium._batch_pool`` the same way :class:`_Delivery` does.
+    ascending attach order, exactly the order per-receiver events
+    (scheduled back-to-back, hence contiguous in the kernel's
+    same-timestamp FIFO) would run in.  Shells recycle through
+    ``Medium._batch_pool``: on firing, the payload moves to locals, the
+    slots are cleared, and the shell returns to the pool *before* the
+    delivery side effects run — kernel events are one-shot, so a nested
+    broadcast inside ``_deliver`` may safely repopulate the shell.
     """
 
     __slots__ = ("medium", "receivers", "frame", "distances", "accept_version")
@@ -170,47 +136,29 @@ class _CellBatch:
     """Cached candidate arrays for every sender in one grid cell.
 
     ``radios`` is attach-order sorted; ``xs``/``ys`` are the matching
-    coordinates (ndarray under numpy, lists otherwise) and ``seqs`` the
-    matching ascending ``_medium_seq`` list used to locate the sender by
-    binary search.  ``accept_cache`` memoises the batch-wide acceptance
-    pre-filter for version-covered radio classes as ``(accept_version,
-    frame_kind, mask, all_true)`` — every same-cell sender at one stamp
-    shares one mask instead of recomputing it per broadcast.
+    float64 coordinates and ``index`` the matching ascending positions in
+    the per-stamp arrays (see ``Medium._kind_arrays``), binary-searched to
+    locate the sender.
+    ``accept_cache`` memoises the batch-wide acceptance pre-filter for
+    version-covered radio classes as ``(accept_version, frame_kind, mask,
+    all_true)`` — every same-cell sender at one stamp shares one mask
+    instead of recomputing it per broadcast.  ``scratch`` holds the
+    batch-sized work buffers of :meth:`Medium._delivery_mask` (two
+    float64, one bool), so the per-broadcast array pass allocates nothing.
+
+    Only lists and numeric arrays: an object-dtype ndarray would hide the
+    radios from the cycle collector and keep the whole scene alive.
     """
 
-    __slots__ = (
-        "radios", "xs", "ys", "seqs", "robj", "accept_cache", "scratch",
-        "rowmap", "rows", "dmat", "posmap",
-    )
+    __slots__ = ("radios", "xs", "ys", "index", "accept_cache", "scratch")
 
-    def __init__(self, radios, xs, ys, seqs) -> None:
+    def __init__(self, radios, xs, ys, index) -> None:
         self.radios = radios
         self.xs = xs
         self.ys = ys
-        self.seqs = seqs
-        # Under numpy, the same radios as a 1-D object ndarray: lets the
-        # broadcast path gather one transmission's receivers with a
-        # boolean fancy-index + tolist (both C loops) instead of a
-        # per-position Python list comprehension.
-        self.robj = None
+        self.index = index
         self.accept_cache = None
-        # Lazily-allocated ndarray work buffers for _delivery_mask (two
-        # float64 + one bool, batch-sized): every same-cell sender reuses
-        # them, so the per-broadcast array pass allocates nothing.
         self.scratch = None
-        # In-cell sender rows (numpy path only): ``rowmap`` maps a batch
-        # position whose radio sits inside this batch's cell to a row of
-        # ``dmat``, the lazily-built (in-cell × batch) distance matrix.
-        # Every same-cell sender's distance pass then collapses to one
-        # row lookup; ``dmat`` entries use the exact scalar formula
-        # elementwise, so the row is bit-identical to a direct compute.
-        self.rowmap = None
-        self.rows = None
-        self.dmat = None
-        # Global array index → batch position, for the in-cell members
-        # only — the radios that can *send* through this batch.  Lets a
-        # broadcast locate its sender in O(1) instead of a binary search.
-        self.posmap = None
 
 
 class Medium:
@@ -222,13 +170,10 @@ class Medium:
         world: World,
         propagation: Optional[Dict[RadioKind, PropagationModel]] = None,
         rng: Optional[SeededRng] = None,
-        use_spatial_index: bool = True,
-        vectorized: bool = True,
     ) -> None:
         self.kernel = kernel
         self.world = world
         self.rng = rng or kernel.rng.child("medium")
-        self.vectorized = vectorized
         self.propagation: Dict[RadioKind, PropagationModel] = {
             kind: UnitDisk(radius) for kind, radius in DEFAULT_RANGES.items()
         }
@@ -246,25 +191,19 @@ class Medium:
         #: hit means a same-cell sender reused another's gather this stamp.
         self.batch_cache_hits = 0
         self.batch_cache_misses = 0
-        # Spatial index: one grid per technology with a hard range cutoff.
-        # A technology whose model has no cutoff (max_range() is None) keeps
-        # the exhaustive scan — pruning there would skip RNG draws the
-        # linear scan performs and de-synchronise seed streams.
         self._attach_seq = 0
-        self._grids: Dict[RadioKind, Optional[TimeAwareGridIndex]] = {}
-        self._node_radios: Dict[WorldNode, List[Radio]] = {}
         # Per-(kind, cell) candidate batches, valid for one (timestamp,
         # attach/move version) — see _cell_batch.
-        self._batch_cache: Dict[Tuple[RadioKind, Tuple[int, int]], _CellBatch] = {}
+        self._batch_cache: Dict[Tuple[RadioKind, Optional[Tuple[int, int]]],
+                                _CellBatch] = {}
         self._batch_stamp: Tuple[float, int] = (-1.0, -1)
         self._batch_version = 0
         # Per-stamp, per-kind position arrays over every attached radio,
         # cell-binned for the batch gather — see _kind_arrays.  Shares
         # the batch cache's (timestamp, version) validity.
         self._stamp_arrays: Dict[RadioKind, tuple] = {}
-        # Recycled delivery-event shells (see _Delivery/_BatchDelivery):
-        # bounded by the peak number of in-flight arrivals.
-        self._delivery_pool: List[_Delivery] = []
+        # Recycled delivery-event shells (see _BatchDelivery): bounded by
+        # the peak number of in-flight transmissions.
         self._batch_pool: List[_BatchDelivery] = []
         # Whether any attached radio is a halo mirror: lets the batch
         # delivery loop skip the per-receiver is_mirror test entirely in
@@ -283,20 +222,7 @@ class Medium:
         # while the version is unchanged: all receivers accepted at
         # scheduling, and nothing that _accepts_frame reads has moved.
         self._accept_version = 0
-        # Actively-scanning radios whose delivery is duty-cycled (rolls a
-        # scan-window RNG per frame), maintained by radio classes at scan
-        # start/stop.  Zero lets a class's deliver_batch drop the dead
-        # duty branch from its per-receiver loop.
-        self._duty_cycled_scanners = 0
-        if use_spatial_index:
-            for kind, model in self.propagation.items():
-                cutoff = model.max_range()
-                self._grids[kind] = (
-                    TimeAwareGridIndex(cutoff) if cutoff else None
-                )
-            world.add_move_listener(self._node_moved)
-        else:
-            self._grids = {kind: None for kind in RadioKind}
+        world.add_move_listener(self._node_moved)
 
     def adhoc_mesh(self):
         """The shared ad-hoc mesh that fast peerings converge on.
@@ -325,29 +251,15 @@ class Medium:
         elif known is not cls:
             self._mono_class[radio.kind] = _MIXED
         self._radios[radio.kind].append(radio)
-        grid = self._grids.get(radio.kind)
-        if grid is not None:
-            grid.insert(radio, radio.node.mobility)
-            self._node_radios.setdefault(radio.node, []).append(radio)
 
     def detach(self, radio: Radio) -> None:
         """Unregister a radio (device leaving the simulation)."""
         self._radios[radio.kind].remove(radio)
         self._batch_version += 1
-        grid = self._grids.get(radio.kind)
-        if grid is not None and radio in grid:
-            grid.remove(radio)
-            siblings = self._node_radios[radio.node]
-            siblings.remove(radio)
-            if not siblings:
-                del self._node_radios[radio.node]
 
     def _node_moved(self, node: WorldNode) -> None:
-        """Re-bucket a node's radios after a mobility-model change."""
-        mobility = node.mobility
+        """A node changed mobility model: every cached position is stale."""
         self._batch_version += 1
-        for radio in self._node_radios.get(node, ()):
-            self._grids[radio.kind].update(radio, mobility)
 
     def radios(self, kind: RadioKind) -> Tuple[Radio, ...]:
         """All attached radios of ``kind`` (enabled or not), attach order.
@@ -357,32 +269,6 @@ class Medium:
         than a list they could corrupt.
         """
         return tuple(self._radios[kind])
-
-    def _candidates(
-        self,
-        kind: RadioKind,
-        origin: Position,
-        radius: Optional[float],
-        now: Optional[float] = None,
-    ) -> List[Radio]:
-        """Radios that might be within ``radius`` of ``origin``, attach order.
-
-        SpatialQuery-protocol spelling: ``(origin, radius, now)`` after the
-        technology selector; ``now`` defaults to the kernel clock.  Falls
-        back to every attached radio of ``kind`` when the technology is
-        unindexed (or ``radius`` is None, i.e. the model is unbounded).
-        Sorting the (few) grid candidates by attach sequence reproduces the
-        exact iteration order of the exhaustive scan, which is what keeps
-        RNG draws and delivery callbacks in the same order.
-        """
-        grid = self._grids.get(kind)
-        if grid is None or radius is None:
-            return self._radios[kind]
-        if now is None:
-            now = self.kernel.now
-        candidates = grid.query(origin, radius, now)
-        candidates.sort(key=_attach_order)
-        return candidates
 
     def _ensure_stamp(self) -> float:
         """Roll the per-stamp caches to the current (clock, version) tick.
@@ -399,25 +285,25 @@ class Medium:
             self._batch_stamp = (now, self._batch_version)
         return now
 
-    def _kind_arrays(self, kind: RadioKind, size: float, now: float):
+    def _kind_arrays(self, kind: RadioKind, now: float,
+                     size: Optional[float]):
         """Per-stamp struct-of-arrays over every attached radio of ``kind``.
 
         One position pass per stamp (``position_at(now)`` — the same pure
-        function, hence the same float64s, the scalar path reads through
-        ``node.position``) feeds every cell batch of the stamp.  Radios
-        are listed in attach order, so index order *is* ascending
-        ``_medium_seq`` order.  Returns ``(radios, xs, ys, robj, seqs,
-        order, sorted_cid, index_of)`` where ``order`` sorts radios by
-        packed cell id (stable, so attach order survives within a cell),
-        ``sorted_cid`` is the matching sorted id array — together they
-        make one cell-column gather a pair of binary searches — and
-        ``index_of`` maps ``_medium_seq`` back to array index.  Numpy
-        path only; call through :meth:`_ensure_stamp` first.
+        function, hence the same float64s, ``node.position`` reads) feeds
+        every batch of the stamp.  Radios are listed in attach order, so
+        index order *is* ascending ``_medium_seq`` order.  Returns
+        ``(radios, xs, ys, index_of, order, sorted_cid)`` where
+        ``index_of`` maps ``_medium_seq`` back to array index.  With a
+        cell ``size``, ``order`` sorts radios by packed cell id (stable,
+        so attach order survives within a cell) and ``sorted_cid`` is the
+        matching sorted id array — together they make one cell-column
+        gather a pair of binary searches; without one (unbounded model)
+        both are None.  Call through :meth:`_ensure_stamp` first.
         """
         entry = self._stamp_arrays.get(kind)
         if entry is not None:
             return entry
-        np = array.numpy
         radios = self._radios[kind]
         xs_list: List[float] = []
         ys_list: List[float] = []
@@ -429,151 +315,91 @@ class Medium:
             append_y(point.y)
         xs = np.asarray(xs_list, dtype=np.float64)
         ys = np.asarray(ys_list, dtype=np.float64)
-        robj = np.empty(len(radios), dtype=object)
-        robj[:] = radios
-        seqs = np.asarray(
-            [radio._medium_seq for radio in radios], dtype=np.int64
-        )
         index_of = {
             radio._medium_seq: i for i, radio in enumerate(radios)
         }
-        cid = (
-            np.floor(xs / size).astype(np.int64) * _CELL_STRIDE
-            + np.floor(ys / size).astype(np.int64)
-        )
-        order = np.argsort(cid, kind="stable")
-        sorted_cid = cid[order]
-        entry = (radios, xs, ys, robj, seqs, order, sorted_cid, index_of)
+        order = sorted_cid = None
+        if size is not None:
+            cid = (
+                np.floor(xs / size).astype(np.int64) * _CELL_STRIDE
+                + np.floor(ys / size).astype(np.int64)
+            )
+            order = np.argsort(cid, kind="stable")
+            sorted_cid = cid[order]
+        entry = (radios, xs, ys, index_of, order, sorted_cid)
         self._stamp_arrays[kind] = entry
         return entry
 
     def _cell_batch(
         self,
         kind: RadioKind,
-        grid: TimeAwareGridIndex,
         origin: Position,
-        cutoff: float,
+        cutoff: Optional[float],
     ) -> _CellBatch:
         """Query stage: the cached candidate batch covering ``origin``'s cell.
 
-        One gather serves every same-cell sender at this timestamp.  The
-        batch must contain every radio within ``cutoff`` of *any* origin
-        in the cell — i.e. within Chebyshev ``cutoff + size/2`` of the
-        cell center — and is free to contain more: by the exactness
-        invariant (candidates beyond ``cutoff`` have delivery probability
-        0, no frame, no draw) the surplus is unobservable in delivery
-        logs, so the two backends may even gather differently.  Under
-        numpy the gather is a column-slice scan of the per-stamp binned
-        arrays (:meth:`_kind_arrays`); the fallback queries the
-        time-aware grid.  Both trim to the disk that provably covers
-        every origin in the cell — ``cutoff + 0.75·size``, a safe margin
-        over the cell half-diagonal (``size·√2/2``).  Invalidated
-        whenever the clock advances or a radio attaches/detaches/moves.
+        Cells are ``cutoff`` meters square.  One gather serves every
+        same-cell sender at this timestamp.  The batch must contain every
+        radio within ``cutoff`` of *any* origin in the cell — i.e. within
+        Chebyshev ``cutoff + size/2`` of the cell center — and is free to
+        contain more: candidates beyond ``cutoff`` have delivery
+        probability 0 (no frame, no draw).  The gather is a column-slice
+        scan of the per-stamp binned arrays (:meth:`_kind_arrays`),
+        trimmed to the disk that provably covers every origin in the cell
+        — ``cutoff + 0.75·size``, a safe margin over the cell
+        half-diagonal (``size·√2/2``).  A ``cutoff`` of None (unbounded
+        model, or a zero range that gives no cell size) means one batch
+        of every radio of ``kind``.  Invalidated whenever the clock
+        advances or a radio attaches/detaches/moves.
         """
         now = self._ensure_stamp()
-        size = grid.cell_size
-        cell = (math.floor(origin.x / size), math.floor(origin.y / size))
+        size = cutoff
+        cell = (
+            None if size is None
+            else (math.floor(origin.x / size), math.floor(origin.y / size))
+        )
         key = (kind, cell)
         batch = self._batch_cache.get(key)
         if batch is not None:
             self.batch_cache_hits += 1
             return batch
         self.batch_cache_misses += 1
-        center = Position((cell[0] + 0.5) * size, (cell[1] + 0.5) * size)
-        reach = cutoff + 0.75 * size
-        np = array.numpy
-        if np is not None:
-            entry = self._kind_arrays(kind, size, now)
-            xs_all = entry[1]
-            ys_all = entry[2]
-            robj_all = entry[3]
-            seqs_all = entry[4]
-            order = entry[5]
-            sorted_cid = entry[6]
-            # Every cell whose box meets the required Chebyshev disk:
-            # offset d qualifies iff (d - 0.5)·size ≤ cutoff + 0.5·size.
-            span = math.floor(cutoff / size + 1.0)
-            pieces = []
-            lo_id = cell[1] - span
-            hi_id = cell[1] + span
-            for cx in range(cell[0] - span, cell[0] + span + 1):
-                base = cx * _CELL_STRIDE
-                lo = np.searchsorted(sorted_cid, base + lo_id)
-                hi = np.searchsorted(sorted_cid, base + hi_id, side="right")
-                if lo != hi:
-                    pieces.append(order[lo:hi])
-            if pieces:
-                idx = pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
-                idx = np.sort(idx)  # index order == ascending attach order
-                xs = xs_all[idx]
-                ys = ys_all[idx]
-                dxc = xs - center.x
-                dyc = ys - center.y
-                near = (dxc * dxc + dyc * dyc) <= reach * reach
-                if not near.all():
-                    idx = idx[near]
-                    xs = xs[near]
-                    ys = ys[near]
-                robj = robj_all[idx]
-                radios = robj.tolist()
-                seqs = seqs_all[idx]
-            else:
-                robj = robj_all[:0]
-                radios = []
-                seqs = seqs_all[:0]
-                xs = xs_all[:0]
-                ys = ys_all[:0]
-            batch = _CellBatch(radios, xs, ys, seqs)
-            batch.robj = robj
-            if radios:
-                # Mark the batch members that sit inside this cell —
-                # exactly the radios that can broadcast *from* this
-                # batch.  Their distance rows are precomputed in one
-                # pairwise pass on first use (_delivery_mask);
-                # misclassification here only routes a sender to the
-                # direct per-broadcast compute, never changes a value.
-                in_cell = (np.floor(xs / size) == cell[0]) & (
-                    np.floor(ys / size) == cell[1]
-                )
-                rows = np.nonzero(in_cell)[0]
-                if rows.size:
-                    batch.rows = rows
-                    batch.rowmap = {
-                        int(pos): row for row, pos in enumerate(rows)
-                    }
-                    in_cell_global = idx[rows].tolist()
-                    batch.posmap = {
-                        g: int(pos)
-                        for g, pos in zip(in_cell_global, rows.tolist())
-                    }
+        radios, xs_all, ys_all, _, order, sorted_cid = (
+            self._kind_arrays(kind, now, size)
+        )
+        if cell is None:
+            batch = _CellBatch(radios, xs_all, ys_all, range(len(radios)))
             self._batch_cache[key] = batch
             return batch
-        arrays = grid.query_arrays(center, cutoff + 0.5 * size, now)
-        items = arrays.items
-        xs = arrays.xs
-        ys = arrays.ys
-        for item in arrays.unpositioned:  # pragma: no cover - time-aware
-            position = item.node.position  # grids resolve every mover
-            items.append(item)
-            xs.append(position.x)
-            ys.append(position.y)
-        reach_sq = reach * reach
-        keep = []
-        for i in range(len(items)):
-            dx = xs[i] - center.x
-            dy = ys[i] - center.y
-            if dx * dx + dy * dy <= reach_sq:
-                keep.append(i)
-        if len(keep) != len(items):
-            items = [items[i] for i in keep]
-            xs = [xs[i] for i in keep]
-            ys = [ys[i] for i in keep]
-        order = array.argsort([radio._medium_seq for radio in items])
-        radios = [items[i] for i in order]
-        xs = [xs[i] for i in order]
-        ys = [ys[i] for i in order]
-        seqs = [radio._medium_seq for radio in radios]
-        batch = _CellBatch(radios, xs, ys, seqs)
+        # Every cell whose box meets the required Chebyshev disk: offset
+        # d qualifies iff (d - 0.5)·size ≤ cutoff + 0.5·size, so d ≤ 2.
+        pieces = []
+        lo_id = cell[1] - 2
+        hi_id = cell[1] + 2
+        for cx in range(cell[0] - 2, cell[0] + 3):
+            base = cx * _CELL_STRIDE
+            lo = np.searchsorted(sorted_cid, base + lo_id)
+            hi = np.searchsorted(sorted_cid, base + hi_id, side="right")
+            if lo != hi:
+                pieces.append(order[lo:hi])
+        if not pieces:
+            batch = _CellBatch([], xs_all[:0], ys_all[:0], [])
+            self._batch_cache[key] = batch
+            return batch
+        idx = pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
+        idx = np.sort(idx)  # index order == ascending attach order
+        xs = xs_all[idx]
+        ys = ys_all[idx]
+        reach = cutoff + 0.75 * size
+        dxc = xs - (cell[0] + 0.5) * size
+        dyc = ys - (cell[1] + 0.5) * size
+        near = (dxc * dxc + dyc * dyc) <= reach * reach
+        if not near.all():
+            idx = idx[near]
+            xs = xs[near]
+            ys = ys[near]
+        index = idx.tolist()
+        batch = _CellBatch([radios[i] for i in index], xs, ys, index)
         self._batch_cache[key] = batch
         return batch
 
@@ -588,25 +414,15 @@ class Medium:
         """Enabled same-kind radios currently in range of ``sender``."""
         model = self.propagation[sender.kind]
         origin = sender.node.position
-        cutoff = model.max_range()
-        grid = self._grids.get(sender.kind)
-        if self.vectorized and grid is not None and cutoff is not None:
-            batch = self._cell_batch(sender.kind, grid, origin, cutoff)
-            distances = array.euclidean_distances(
-                origin.x, origin.y, batch.xs, batch.ys
-            )
-            mask = model.in_range_mask(distances)
-            return [
-                radio
-                for radio, hit in zip(batch.radios, mask)
-                if hit and radio is not sender and radio.enabled
-            ]
+        batch = self._cell_batch(sender.kind, origin, model.max_range() or None)
+        distances = array.euclidean_distances(
+            origin.x, origin.y, batch.xs, batch.ys
+        )
+        mask = model.in_range_mask(distances)
         return [
             radio
-            for radio in self._candidates(sender.kind, origin, cutoff)
-            if radio is not sender
-            and radio.enabled
-            and model.in_range(origin.distance_to(radio.node.position))
+            for radio, hit in zip(batch.radios, mask)
+            if hit and radio is not sender and radio.enabled
         ]
 
     def broadcast(self, sender: Radio, frame: Frame) -> int:
@@ -616,170 +432,40 @@ class Medium:
         Returns the number of receivers the frame was scheduled to.
         """
         self.frames_sent += 1
-        model = self.propagation[sender.kind]
-        cutoff = model.max_range()
-        grid = self._grids.get(sender.kind)
-        if self.vectorized and grid is not None and cutoff is not None:
-            return self._broadcast_batch(sender, frame, model, grid, cutoff)
-        return self._broadcast_scalar(sender, frame, model, cutoff)
-
-    def _broadcast_scalar(
-        self,
-        sender: Radio,
-        frame: Frame,
-        model: PropagationModel,
-        cutoff: Optional[float],
-    ) -> int:
-        """The reference one-receiver-at-a-time loop (also the unindexed path)."""
-        origin = sender.node.position
-        scheduled = 0
-        is_unit_disk = type(model) is UnitDisk
-        radius = model.radius if is_unit_disk else None
-        delay = frame.airtime + PROPAGATION_DELAY_S
-        for receiver in self._candidates(sender.kind, origin, cutoff):
-            if receiver is sender:
-                continue
-            distance = origin.distance_to(receiver.node.position)
-            if is_unit_disk:
-                # In-range under UnitDisk means certain delivery: skip the
-                # probability machinery (no RNG draw happens either way).
-                if distance > radius:
-                    continue
-            elif not frame_delivered(model, distance, self.rng):
-                continue
-            if not receiver._accepts_frame(frame):
-                continue
-            self._schedule_delivery(receiver, frame, distance, delay)
-            scheduled += 1
-        return scheduled
-
-    def _broadcast_batch(
-        self,
-        sender: Radio,
-        frame: Frame,
-        model: PropagationModel,
-        grid: TimeAwareGridIndex,
-        cutoff: float,
-    ) -> int:
-        """Vectorized broadcast: one batch pass per pipeline stage.
-
-        Byte-identical to :meth:`_broadcast_scalar`: the candidate surplus
-        from the cell-aligned batch is provably silent (p == 0 beyond
-        ``cutoff``), distances use the same correctly-rounded formula, and
-        RNG draws are spent per the draw-order contract — ascending attach
-        order over candidates with 0 < p < 1, sender excluded.
-        """
-        np = array.numpy
-        if np is not None:
-            # The sender's position comes from the same per-stamp array
-            # pass that positioned the batch: position_at(now) is pure, so
-            # these are the very float64s ``sender.node.position`` would
-            # produce, without re-walking the mobility model.
-            now = self._ensure_stamp()
-            entry = self._kind_arrays(sender.kind, grid.cell_size, now)
-            xs_all = entry[1]
-            ys_all = entry[2]
-            gpos = entry[7].get(sender._medium_seq, -1)
-            if gpos >= 0:
-                origin = Position(float(xs_all[gpos]), float(ys_all[gpos]))
-            else:  # pragma: no cover - detached sender
-                origin = sender.node.position
-            batch = self._cell_batch(sender.kind, grid, origin, cutoff)
-            radios = batch.radios
-            if not radios:
-                return 0
-            posmap = batch.posmap
-            sender_pos = (
-                posmap.get(gpos, -1)
-                if posmap is not None and gpos >= 0
-                else -1
-            )
-            if sender_pos < 0:
-                # The O(1) map only covers in-cell members; a sender the
-                # batch holds but the map missed must still be excluded
-                # (RNG parity), so fall back to the binary search.
-                seqs = batch.seqs
-                sender_pos = int(np.searchsorted(seqs, sender._medium_seq))
-                if (
-                    sender_pos == len(seqs)
-                    or seqs[sender_pos] != sender._medium_seq
-                ):
-                    sender_pos = -1
-            delivered, distances = self._delivery_mask(
-                model, origin, batch, sender_pos
-            )
-            mono = self._mono_class.get(sender.kind)
-            ref = getattr(mono, "_accepts_versioned_ref", None)
-            if ref is not None and ref is getattr(mono, "_accepts_frame", None):
-                # Version-covered mono-class kind (the common case): one
-                # batch-wide pre-filter mask per (cell, stamp, version,
-                # frame kind) is shared by every same-cell sender, and the
-                # delivery-time re-check is elided while the version holds
-                # (see _execute_batch_delivery).
-                version = self._accept_version
-                cache = batch.accept_cache
-                if (
-                    cache is None
-                    or cache[0] != version
-                    or cache[1] is not frame.kind
-                ):
-                    full = np.asarray(
-                        self._acceptance_mask(
-                            radios, frame, self.kernel.now, mono
-                        ),
-                        dtype=bool,
-                    )
-                    cache = (version, frame.kind, full, bool(full.all()))
-                    batch.accept_cache = cache
-                sel = delivered if cache[3] else delivered & cache[2]
-                # Boolean fancy-index + tolist: both C loops, replacing
-                # the per-position Python gather.
-                receivers = batch.robj[sel].tolist()
-                if not receivers:
-                    return 0
-                distances_out = distances[sel].tolist()
-                accept_version = version
-            else:
-                candidates = batch.robj[delivered].tolist()
-                if not candidates:
-                    return 0
-                dists = distances[delivered].tolist()
-                mask = self._acceptance_mask(
-                    candidates, frame, self.kernel.now, mono
-                )
-                if all(mask):
-                    # Every candidate accepted — skip the filtered rebuild.
-                    receivers = candidates
-                    distances_out = dists
-                else:
-                    receivers = [c for c, hit in zip(candidates, mask) if hit]
-                    distances_out = [
-                        d for d, hit in zip(dists, mask) if hit
-                    ]
-                if not receivers:
-                    return 0
-                accept_version = -1
-            self._schedule_batch(
-                receivers, frame, distances_out,
-                frame.airtime + PROPAGATION_DELAY_S, accept_version,
-            )
-            return len(receivers)
-        origin = sender.node.position
-        batch = self._cell_batch(sender.kind, grid, origin, cutoff)
+        kind = sender.kind
+        model = self.propagation[kind]
+        # A zero range gives no cell size: like an unbounded model, it
+        # gets one batch of every radio of the kind.
+        cutoff = model.max_range() or None
+        # The sender's position comes from the same per-stamp array pass
+        # that positions the batch: position_at(now) is pure, so these are
+        # the very float64s ``sender.node.position`` would produce.
+        now = self._ensure_stamp()
+        entry = self._kind_arrays(kind, now, cutoff)
+        gpos = entry[3].get(sender._medium_seq, -1)
+        if gpos >= 0:
+            origin = Position(float(entry[1][gpos]), float(entry[2][gpos]))
+        else:  # pragma: no cover - detached sender
+            origin = sender.node.position
+        batch = self._cell_batch(kind, origin, cutoff)
         radios = batch.radios
         if not radios:
             return 0
-        seqs = batch.seqs
-        sender_pos = bisect_left(seqs, sender._medium_seq)
-        if sender_pos == len(seqs) or seqs[sender_pos] != sender._medium_seq:
+        index = batch.index
+        sender_pos = bisect_left(index, gpos)
+        if sender_pos == len(index) or index[sender_pos] != gpos:
             sender_pos = -1
-        positions, dists = self._delivery_mask(model, origin, batch, sender_pos)
-        if not positions:
-            return 0
-        mono = self._mono_class.get(sender.kind)
+        delivered, distances = self._delivery_mask(
+            model, origin, batch, sender_pos
+        )
+        mono = self._mono_class.get(kind)
         ref = getattr(mono, "_accepts_versioned_ref", None)
         if ref is not None and ref is getattr(mono, "_accepts_frame", None):
-            # Same versioned pre-filter as the numpy branch, in list form.
+            # Version-covered mono-class kind (the common case): one
+            # batch-wide pre-filter mask per (cell, stamp, version, frame
+            # kind) is shared by every same-cell sender, and the
+            # delivery-time re-check is elided while the version holds
+            # (see _execute_batch_delivery).
             version = self._accept_version
             cache = batch.accept_cache
             if (
@@ -787,30 +473,24 @@ class Medium:
                 or cache[0] != version
                 or cache[1] is not frame.kind
             ):
-                full = self._acceptance_mask(
-                    radios, frame, self.kernel.now, mono
+                full = np.asarray(
+                    self._acceptance_mask(radios, frame, now, mono),
+                    dtype=bool,
                 )
-                cache = (version, frame.kind, full, all(full))
+                cache = (version, frame.kind, full, bool(full.all()))
                 batch.accept_cache = cache
-            if cache[3]:
-                # Everyone in the cell is listening (dense beacon
-                # rounds): the delivered positions are the receivers.
-                receivers = [radios[pos] for pos in positions]
-                distances_out = dists
-            else:
-                full = cache[2]
-                receivers = []
-                distances_out = []
-                for pos, dist in zip(positions, dists):
-                    if full[pos]:
-                        receivers.append(radios[pos])
-                        distances_out.append(dist)
+            sel = delivered if cache[3] else delivered & cache[2]
+            receivers = list(compress(radios, sel.tolist()))
+            if not receivers:
+                return 0
+            distances_out = distances[sel].tolist()
             accept_version = version
         else:
-            candidates = [radios[pos] for pos in positions]
-            mask = self._acceptance_mask(
-                candidates, frame, self.kernel.now, mono
-            )
+            candidates = list(compress(radios, delivered.tolist()))
+            if not candidates:
+                return 0
+            dists = distances[delivered].tolist()
+            mask = self._acceptance_mask(candidates, frame, now, mono)
             if all(mask):
                 # Every candidate accepted — skip the filtered rebuild.
                 receivers = candidates
@@ -818,9 +498,9 @@ class Medium:
             else:
                 receivers = [c for c, hit in zip(candidates, mask) if hit]
                 distances_out = [d for d, hit in zip(dists, mask) if hit]
+            if not receivers:
+                return 0
             accept_version = -1
-        if not receivers:
-            return 0
         self._schedule_batch(
             receivers, frame, distances_out,
             frame.airtime + PROPAGATION_DELAY_S, accept_version,
@@ -840,112 +520,57 @@ class Medium:
         RNG) delivered the frame to, sender excluded.  RNG draws follow
         the contract: ascending attach order (batch order *is* attach
         order), one draw per candidate with fractional probability, none
-        for the sender.  Under numpy the result is ``(delivered,
-        distances)`` — a boolean mask and the full distance array, both
-        batch-parallel and both backed by per-batch scratch the caller
-        must consume before the next broadcast; the fallback returns the
-        delivered batch positions and their distances as lists.
+        for the sender.  Returns ``(delivered, distances)`` — a boolean
+        mask and the full distance array, both batch-parallel and both
+        backed by per-batch scratch the caller must consume before the
+        next broadcast.
         """
-        np = array.numpy
-        if np is not None:
-            # Reuse per-batch scratch buffers: every ufunc below is the
-            # same correctly-rounded operation as its allocating form
-            # (out= changes where bits land, never which bits), and no
-            # buffer escapes — results leave only via .tolist() / fancy
-            # indexing, both of which copy.
-            scratch = batch.scratch
-            if scratch is None:
-                scratch = (
-                    np.empty_like(batch.xs),
-                    np.empty_like(batch.xs),
-                    np.empty(len(batch.xs), dtype=bool),
-                )
-                batch.scratch = scratch
-            dx, dy, delivered = scratch
-            rowmap = batch.rowmap
-            row = (
-                rowmap.get(sender_pos, -1)
-                if rowmap is not None and sender_pos >= 0
-                else -1
+        # Reuse per-batch scratch buffers: every ufunc below is the same
+        # correctly-rounded operation as its allocating form (out= changes
+        # where bits land, never which bits), and no buffer escapes —
+        # results leave only via .tolist() / fancy indexing, both of which
+        # copy.
+        scratch = batch.scratch
+        if scratch is None:
+            scratch = (
+                np.empty_like(batch.xs),
+                np.empty_like(batch.xs),
+                np.empty(len(batch.xs), dtype=bool),
             )
-            if row >= 0 and (
-                batch.xs[sender_pos] != origin.x
-                or batch.ys[sender_pos] != origin.y
-            ):
-                # The batch's stored position disagrees with the sender's
-                # live one (shouldn't happen under the stamp invariants,
-                # but routing is cheap to prove): use the direct compute.
-                row = -1
-            if row >= 0:
-                # In-cell sender: its distance row was (or is now)
-                # computed in the one pairwise pass shared by every
-                # sender in this cell.  Element [i, j] applies the exact
-                # scalar formula to the same float64 pair the direct
-                # compute below would read, so the row is bit-identical.
-                dmat = batch.dmat
-                if dmat is None:
-                    rxs = batch.xs[batch.rows]
-                    rys = batch.ys[batch.rows]
-                    ddx = rxs[:, None] - batch.xs[None, :]
-                    ddy = rys[:, None] - batch.ys[None, :]
-                    dmat = np.sqrt(ddx * ddx + ddy * ddy)
-                    batch.dmat = dmat
-                distances = dmat[row]
-            else:
-                np.subtract(batch.xs, origin.x, out=dx)
-                np.subtract(batch.ys, origin.y, out=dy)
-                np.multiply(dx, dx, out=dx)
-                np.multiply(dy, dy, out=dy)
-                np.add(dx, dy, out=dx)
-                distances = np.sqrt(dx, out=dx)
-            if type(model) is UnitDisk:
-                np.less_equal(distances, model.radius, out=delivered)
-            else:
-                ps = np.asarray(
-                    model.delivery_probabilities(distances), dtype=np.float64
-                )
-                np.greater_equal(ps, 1.0, out=delivered)
-                need_draw = (ps > 0.0) & ~delivered
-                if sender_pos >= 0:
-                    # Exclude the sender *before* drawing: a model may give
-                    # 0 < p < 1 even at distance 0, and the scalar loop
-                    # never rolls for the sender.
-                    need_draw[sender_pos] = False
-                draw_at = np.nonzero(need_draw)[0]
-                if draw_at.size:
-                    rng = self.rng
-                    draws = np.fromiter(
-                        (rng.random() for _ in range(draw_at.size)),
-                        dtype=np.float64,
-                        count=draw_at.size,
-                    )
-                    # Mirrors SeededRng.bernoulli: delivered iff u < p.
-                    delivered[draw_at] = draws < ps[draw_at]
+            batch.scratch = scratch
+        dx, dy, delivered = scratch
+        np.subtract(batch.xs, origin.x, out=dx)
+        np.subtract(batch.ys, origin.y, out=dy)
+        np.multiply(dx, dx, out=dx)
+        np.multiply(dy, dy, out=dy)
+        np.add(dx, dy, out=dx)
+        distances = np.sqrt(dx, out=dx)
+        if type(model) is UnitDisk:
+            np.less_equal(distances, model.radius, out=delivered)
+        else:
+            ps = np.asarray(
+                model.delivery_probabilities(distances), dtype=np.float64
+            )
+            np.greater_equal(ps, 1.0, out=delivered)
+            need_draw = (ps > 0.0) & ~delivered
             if sender_pos >= 0:
-                delivered[sender_pos] = False
-            return delivered, distances
-        xs = batch.xs
-        ys = batch.ys
-        sqrt = math.sqrt
-        is_unit_disk = type(model) is UnitDisk
-        radius = model.radius if is_unit_disk else None
-        rng = self.rng
-        positions: List[int] = []
-        dists: List[float] = []
-        for pos in range(len(xs)):
-            if pos == sender_pos:
-                continue
-            dx = xs[pos] - origin.x
-            dy = ys[pos] - origin.y
-            distance = sqrt(dx * dx + dy * dy)
-            if is_unit_disk:
-                if distance > radius:
-                    continue
-            elif not frame_delivered(model, distance, rng):
-                continue
-            positions.append(pos)
-            dists.append(distance)
-        return positions, dists
+                # Exclude the sender *before* drawing: a model may give
+                # 0 < p < 1 even at distance 0, and the scalar loop never
+                # rolls for the sender.
+                need_draw[sender_pos] = False
+            draw_at = np.nonzero(need_draw)[0]
+            if draw_at.size:
+                rng = self.rng
+                draws = np.fromiter(
+                    (rng.random() for _ in range(draw_at.size)),
+                    dtype=np.float64,
+                    count=draw_at.size,
+                )
+                # Mirrors SeededRng.bernoulli: delivered iff u < p.
+                delivered[draw_at] = draws < ps[draw_at]
+        if sender_pos >= 0:
+            delivered[sender_pos] = False
+        return delivered, distances
 
     def _acceptance_mask(
         self, radios: Sequence[Radio], frame: Frame, now: float,
@@ -965,9 +590,9 @@ class Medium:
         ``mono`` is a caller-provided homogeneity proof: the mono-class
         registry entry for the one kind every radio in ``radios`` is
         known to belong to (broadcast candidates come from a single
-        technology's grid).  When it matches ``type(radios[0])`` the
-        per-call type scan is skipped; callers with mixed or unknown
-        kinds must leave it None.
+        technology).  When it matches ``type(radios[0])`` the per-call
+        type scan is skipped; callers with mixed or unknown kinds must
+        leave it None.
         """
         if not radios:
             return []
@@ -1005,20 +630,6 @@ class Medium:
 
     # -- delivery stage (pooled events + their execution seams) ---------------
 
-    def _schedule_delivery(
-        self, receiver: Radio, frame: Frame, distance: float, delay: float
-    ) -> None:
-        """Schedule one arrival, recycling a pooled event shell if available."""
-        pool = self._delivery_pool
-        if pool:
-            event = pool.pop()
-            event.receiver = receiver
-            event.frame = frame
-            event.distance = distance
-        else:
-            event = _Delivery(self, receiver, frame, distance)
-        self.kernel.call_in(delay, event)
-
     def _schedule_batch(
         self,
         receivers: List[Radio],
@@ -1040,20 +651,6 @@ class Medium:
                                    accept_version)
         self.kernel.call_in(delay, event)
 
-    def _execute_delivery(self, receiver: Radio, frame: Frame,
-                          distance: float) -> None:
-        """Deliver one arrival after its airtime, re-checking acceptance."""
-        if receiver._accepts_frame(frame):
-            self.frames_delivered += 1
-            if receiver.is_mirror:
-                # A halo mirror heard it: under sharded execution this
-                # delivery belongs to the receiver's owning shard and is
-                # routed there at the next horizon.
-                self.frames_cross_shard += 1
-            receiver._deliver(frame, distance)
-        else:
-            self.frames_dropped += 1
-
     def _execute_batch_delivery(
         self, receivers: List[Radio], frame: Frame, distances: List[float],
         accept_version: int = -1,
@@ -1065,8 +662,8 @@ class Medium:
         version-covered; if the medium's version still matches, the
         re-check is provably all-True and is skipped (``mask=None``).
         Any enable/disable or scan start/stop since scheduling bumps the
-        version, forcing the full mask — same bytes as the scalar path's
-        per-receiver re-check, minus the redundant reads.
+        version, forcing the full mask — same bytes as a per-receiver
+        re-check, minus the redundant reads.
         """
         if accept_version >= 0 and accept_version == self._accept_version:
             self._deliver_masked(receivers, frame, distances, None)
@@ -1125,12 +722,11 @@ class Medium:
                 if accepted:
                     delivered += 1
                     if receiver.is_mirror:
+                        # A halo mirror heard it: under sharded execution
+                        # this delivery belongs to the receiver's owning
+                        # shard and is routed there at the next horizon.
                         cross_shard += 1
                     receiver._deliver(frame, distance)
             self.frames_cross_shard += cross_shard
         self.frames_delivered += delivered
         self.frames_dropped += len(receivers) - delivered
-
-
-def _attach_order(radio: Radio) -> int:
-    return radio._medium_seq

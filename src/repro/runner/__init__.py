@@ -28,7 +28,7 @@ from repro.runner.artifacts import (
     CellResult,
     attach,
 )
-from repro.runner.engine import JobOutcome, RunReport, run_experiment
+from repro.runner.engine import RunReport, run_experiment
 from repro.runner.jobs import ATTACH_CAPABLE, EXPERIMENTS, Job, jobs_for
 
 __all__ = [
@@ -40,7 +40,6 @@ __all__ = [
     "CellResult",
     "EXPERIMENTS",
     "Job",
-    "JobOutcome",
     "RunReport",
     "attach",
     "jobs_for",

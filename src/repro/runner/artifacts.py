@@ -380,11 +380,6 @@ class CellResult:
         return cls(experiment=experiment, cell=cell, seed=seed, value=raw)
 
     @property
-    def result(self) -> Any:
-        """Back-compat alias for :attr:`value` (the pre-redesign field name)."""
-        return self.value
-
-    @property
     def result_digest(self) -> str:
         """A short stable fingerprint of the structured result.
 

@@ -33,11 +33,6 @@ from repro.runner.jobs import Job, jobs_for
 #: pair are additive optional keys of v1.)
 BENCH_SCHEMA = "repro.runner/bench.v1"
 
-#: Back-compat alias: the engine's per-cell outcome type was ``JobOutcome``
-#: before the artifact redesign folded identity + result + wall into one
-#: structured :class:`CellResult`.
-JobOutcome = CellResult
-
 
 @dataclass
 class RunReport:
@@ -54,10 +49,10 @@ class RunReport:
     #: digests match between the parallel run and the serial replay?
     digest_match: Optional[bool] = None
     digest_mismatches: List[str] = field(default_factory=list)
-    #: The array backend active in the coordinating process ("numpy" or
-    #: "python") and the numpy version string ("" under pure Python).
-    #: Parity debugging needs these: a digest that differs between two
-    #: machines is meaningless without knowing which kernels ran.
+    #: The array backend of the coordinating process ("numpy") and the
+    #: numpy version string.  Parity debugging needs these: a digest that
+    #: differs between two machines is meaningless without knowing which
+    #: kernels ran.
     array_backend: str = field(default_factory=array.backend_name)
     numpy_version: str = field(default_factory=array.numpy_version)
 

@@ -136,13 +136,11 @@ def _mobility_jobs(seed: Optional[int], attach: Dict[str, bool]) -> List[Job]:
     return [
         Job(
             experiment="mobility",
-            cell=f"{variant}@{mobility_exp.NODE_COUNT}",
-            fn=mobility_exp.run_cell,
-            args=(variant,),
+            cell=f"{mobility_exp.CELL}@{mobility_exp.NODE_COUNT}",
+            fn=mobility_exp.run_scene,
             kwargs={"seed": seed},
             seed=seed,
         )
-        for variant in mobility_exp.iter_cells()
     ]
 
 

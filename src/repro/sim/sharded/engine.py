@@ -26,6 +26,7 @@ import hashlib
 import multiprocessing
 import time
 from dataclasses import dataclass
+from multiprocessing.connection import wait
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis import tripwire
@@ -117,19 +118,13 @@ def _check_distinct(records: Sequence[Record]) -> None:
 # -- serial reference --------------------------------------------------------
 
 
-def run_serial(spec: ScenarioSpec, vectorized: bool = True) -> SimOutcome:
-    """Run the scenario on a single kernel: the correctness reference.
-
-    ``vectorized=False`` forces the scalar one-receiver-at-a-time
-    broadcast loop; the delivery digest is identical either way (the
-    batch pipeline's RNG draw-order contract), which the vectorized
-    benchmark asserts.
-    """
+def run_serial(spec: ScenarioSpec) -> SimOutcome:
+    """Run the scenario on a single kernel: the correctness reference."""
     started = time.perf_counter()
     models = build_models(spec)
     kernel = Kernel(seed=spec.seed)
     world = World(kernel)
-    medium = Medium(kernel, world, vectorized=vectorized)
+    medium = Medium(kernel, world)
     records: List[Record] = []
 
     def on_scan(payload: bytes, distance: float, receiver: int) -> None:
@@ -239,7 +234,6 @@ def run_sharded(
     shards: int,
     processes: Optional[bool] = None,
     use_shared_memory: bool = True,
-    vectorized: bool = True,
 ) -> SimOutcome:
     """Run the scenario across ``shards`` spatial partitions.
 
@@ -253,20 +247,16 @@ def run_sharded(
     if processes is None:
         processes = shards > 1 and not multiprocessing.current_process().daemon
     if processes:
-        return _run_sharded_processes(spec, shards, use_shared_memory, vectorized)
-    return _run_sharded_inline(spec, shards, vectorized)
+        return _run_sharded_processes(spec, shards, use_shared_memory)
+    return _run_sharded_inline(spec, shards)
 
 
 # -- sharded: inline transport -----------------------------------------------
 
 
-def _run_sharded_inline(
-    spec: ScenarioSpec, shards: int, vectorized: bool = True
-) -> SimOutcome:
+def _run_sharded_inline(spec: ScenarioSpec, shards: int) -> SimOutcome:
     started = time.perf_counter()
-    runtimes = [
-        ShardRuntime(spec, shards, index, vectorized) for index in range(shards)
-    ]
+    runtimes = [ShardRuntime(spec, shards, index) for index in range(shards)]
     walls = [0.0] * shards
     records: List[Record] = []
     t0 = 0.0
@@ -354,7 +344,6 @@ def _shard_worker(
     conn: Any,
     use_shared_memory: bool,
     token: str,
-    vectorized: bool = True,
 ) -> None:
     """One shard's process body: horizon loop against the coordinator."""
     # Arm the global-RNG tripwire for this shard unless the process already
@@ -366,7 +355,7 @@ def _shard_worker(
         armed = tripwire.install(f"shard {shard_index}")
     try:
         started = time.perf_counter()
-        runtime = ShardRuntime(spec, shards, shard_index, vectorized)
+        runtime = ShardRuntime(spec, shards, shard_index)
         t0 = 0.0
         for k, t1 in enumerate(spec.window_ends()):
             adverts, handoffs = runtime.horizon_packet(t0, t1)
@@ -430,12 +419,21 @@ def _mp_context() -> Any:
         return multiprocessing.get_context()
 
 
-def _recv(conn: Any, shard_index: int) -> Tuple[Any, ...]:
-    if not conn.poll(BARRIER_TIMEOUT_S):
+def _recv(conn: Any, worker: Any, shard_index: int) -> Tuple[Any, ...]:
+    """The next message from shard ``shard_index``, or a prompt failure.
+
+    Waits on the worker's process sentinel as well as its pipe: every
+    worker inherits every pipe end, so a dead worker's pipe never reports
+    EOF while its siblings live, and only the sentinel says it is gone.
+    """
+    ready = wait([conn, worker.sentinel], BARRIER_TIMEOUT_S)
+    if not ready:
         raise TimeoutError(
             f"shard {shard_index} sent nothing for {BARRIER_TIMEOUT_S:.0f}s "
             "at a horizon barrier"
         )
+    if conn not in ready and not conn.poll():
+        raise RuntimeError(f"shard {shard_index} died mid-run")
     try:
         message = conn.recv()
     except EOFError as error:
@@ -448,8 +446,7 @@ def _recv(conn: Any, shard_index: int) -> Tuple[Any, ...]:
 
 
 def _run_sharded_processes(
-    spec: ScenarioSpec, shards: int, use_shared_memory: bool,
-    vectorized: bool = True,
+    spec: ScenarioSpec, shards: int, use_shared_memory: bool
 ) -> SimOutcome:
     started = time.perf_counter()
     context = _mp_context()
@@ -459,8 +456,7 @@ def _run_sharded_processes(
     workers = [
         context.Process(
             target=_shard_worker,
-            args=(spec, shards, index, child, use_shared_memory, token,
-                  vectorized),
+            args=(spec, shards, index, child, use_shared_memory, token),
             name=f"shard-{index}",
         )
         for index, (_, child) in enumerate(pipes)
@@ -475,7 +471,9 @@ def _run_sharded_processes(
         for k in range(len(spec.window_ends())):
             messages = []
             for index, (parent, _) in enumerate(pipes):
-                tag, kk, outbound, records_artifact = _recv(parent, index)
+                tag, kk, outbound, records_artifact = _recv(
+                    parent, workers[index], index
+                )
                 if tag != "sync" or kk != k:
                     raise BoundaryProtocolError(
                         f"shard {index} sent ({tag}, {kk}); expected ('sync', {k})"
@@ -486,7 +484,7 @@ def _run_sharded_processes(
             for (parent, _), inbox in zip(pipes, inboxes):
                 parent.send(("go", k, inbox))
         for index, (parent, _) in enumerate(pipes):
-            tag, result, tail_artifact = _recv(parent, index)
+            tag, result, tail_artifact = _recv(parent, workers[index], index)
             if tag != "done":
                 raise BoundaryProtocolError(
                     f"shard {index} sent {tag!r}; expected 'done'"

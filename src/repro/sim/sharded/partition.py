@@ -88,4 +88,12 @@ class StripPlan:
         last = self.shards - 1
         lo = min(last, max(0, math.floor((position.x - reach) / width)))
         hi = min(last, max(0, math.floor((position.x + reach) / width)))
+        # floor() places a point on a strip edge in the upper strip only,
+        # but xdist measures to closed intervals: a neighbour whose edge
+        # the query touches exactly (or that rounding left out) is within
+        # reach too.
+        while lo > 0 and self.xdist(position, lo - 1) <= reach:
+            lo -= 1
+        while hi < last and self.xdist(position, hi + 1) <= reach:
+            hi += 1
         return range(lo, hi + 1)

@@ -101,7 +101,6 @@ class ShardRuntime:
         spec: ScenarioSpec,
         shards: int,
         shard_index: int,
-        vectorized: bool = True,
     ) -> None:
         self.spec = spec
         self.plan = StripPlan(spec.arena_m, shards)
@@ -112,10 +111,7 @@ class ShardRuntime:
         self.global_bound = population_speed_cap(self.models) * spec.horizon_s
         self.kernel = Kernel(seed=spec.seed)
         self.world = World(self.kernel)
-        # Shards reuse the batch broadcast pipeline (byte-identical to the
-        # scalar loop by contract); vectorized=False forces the reference
-        # path for differential tests.
-        self.medium = Medium(self.kernel, self.world, vectorized=vectorized)
+        self.medium = Medium(self.kernel, self.world)
         self._range = DEFAULT_RANGES[RadioKind.BLE]
         self._owned: Dict[int, BleRadio] = {}
         self._mirrors: Dict[int, MirrorRadio] = {}

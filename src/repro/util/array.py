@@ -1,18 +1,10 @@
-"""Optional numpy acceleration with a bit-identical pure-Python fallback.
+"""Bit-exact numpy kernels shared by the batch code paths.
 
-numpy is an *accelerator*, never a dependency: every batch code path in
-the tree (``PropagationModel.delivery_probabilities``, the vectorized
-``Medium`` broadcast, index ``query_arrays`` consumers) must have a
-pure-Python twin that produces **bit-identical** floats, mirroring the
-``--no-shared-memory`` transport fallback idiom.  This module is the one
-place backend selection happens:
-
-* ``numpy`` — the imported module, or ``None`` when numpy is missing or
-  the ``REPRO_NO_NUMPY=1`` environment variable disabled it at import
-  time.  Hot paths read this attribute *per call* (not a cached local),
-  so tests can monkeypatch ``repro.util.array.numpy`` to ``None`` and
-  exercise the fallback without a second interpreter.
-* ``HAVE_NUMPY`` — the selection frozen at import, for reporting.
+numpy is a declared dependency.  Every batch path whose floats can reach
+a delivery log (``PropagationModel.delivery_probabilities``, the
+``Medium`` broadcast pipeline, ``MobilityModel.positions_at``) must stay
+**bit-identical** to its scalar reference — the per-element ``math``
+computation the test suite keeps as an oracle.
 
 Bit-parity ground rules (verified empirically on numpy 2.x, whose ufuncs
 use SIMD kernels):
@@ -21,49 +13,33 @@ use SIMD kernels):
   rounded and **identical** to the ``math`` module scalar-by-scalar.
 * ``np.hypot``, ``np.log10``, ``np.power`` are **not** bit-identical to
   ``math.hypot`` / ``math.log10`` / ``math.pow`` and are banned from any
-  path whose floats can reach a delivery log.  This is why
-  :meth:`repro.phy.geometry.Position.distance_to` is written as
-  ``sqrt(dx*dx + dy*dy)`` (reproducible by a vector backend) rather than
+  path whose floats can reach a delivery log (lint rule VEC001).  This is
+  why :meth:`repro.phy.geometry.Position.distance_to` is written as
+  ``sqrt(dx*dx + dy*dy)`` (reproducible by a vector kernel) rather than
   ``hypot`` (not), and why :class:`repro.phy.propagation.LogDistance`
   keeps a scalar loop in its batch methods.
 """
 
 from __future__ import annotations
 
-import math
-import os
-from typing import List, Sequence
+from typing import Sequence
 
-try:  # pragma: no cover - exercised via the REPRO_NO_NUMPY CI leg
-    import numpy as _numpy
-except ImportError:  # pragma: no cover
-    _numpy = None
-
-if os.environ.get("REPRO_NO_NUMPY") == "1":
-    _numpy = None
-
-#: The active backend: the numpy module, or None for pure Python.
-#: Monkeypatchable; hot paths must read it per call.
-numpy = _numpy
-
-#: Whether numpy was importable (and not disabled) at import time.
-HAVE_NUMPY = numpy is not None
+import numpy as np
 
 
 def backend_name() -> str:
-    """``"numpy"`` or ``"python"`` — the currently active backend."""
-    return "numpy" if numpy is not None else "python"
+    """``"numpy"``: the array backend recorded in run and bench metadata."""
+    return "numpy"
 
 
 def numpy_version() -> str:
-    """The active numpy's version string, or ``""`` under pure Python.
+    """The numpy version string.
 
     Recorded alongside :func:`backend_name` in run/bench metadata so a
     parity regression can be traced to the exact kernel generation that
     produced the floats.
     """
-    np = numpy
-    return "" if np is None else str(np.__version__)
+    return str(np.__version__)
 
 
 def euclidean_distances(
@@ -71,37 +47,19 @@ def euclidean_distances(
 ):
     """Distances from ``(origin_x, origin_y)`` to each ``(xs[i], ys[i])``.
 
-    Bit-identical to ``Position.distance_to`` under either backend:
+    An ndarray bit-identical to per-point ``Position.distance_to``:
     ``sqrt(dx*dx + dy*dy)`` with correctly-rounded primitives only.
-    Returns an ndarray when numpy is active (and the inputs are arrays
-    or convertible), else a list of floats.  Mismatched coordinate
-    lengths raise ``ValueError`` under *both* backends — ``zip`` would
-    silently truncate to the shorter sequence in pure Python while numpy
-    broadcasts or errors differently, a parity break worse than either.
+    Mismatched coordinate lengths raise ``ValueError`` rather than
+    broadcasting.
     """
     if len(xs) != len(ys):
         raise ValueError(
             "euclidean_distances: xs and ys must have equal length "
             f"(got {len(xs)} and {len(ys)})"
         )
-    np = numpy
-    if np is not None:
-        dx = np.asarray(xs, dtype=np.float64) - origin_x
-        dy = np.asarray(ys, dtype=np.float64) - origin_y
-        return np.sqrt(dx * dx + dy * dy)
-    sqrt = math.sqrt
-    return [
-        sqrt((x - origin_x) * (x - origin_x) + (y - origin_y) * (y - origin_y))
-        for x, y in zip(xs, ys)
-    ]
-
-
-def argsort(keys: Sequence[int]) -> List[int]:
-    """Indices that sort ``keys`` ascending (ties in original order)."""
-    np = numpy
-    if np is not None:
-        return np.argsort(np.asarray(keys, dtype=np.int64), kind="stable").tolist()
-    return sorted(range(len(keys)), key=keys.__getitem__)
+    dx = np.asarray(xs, dtype=np.float64) - origin_x
+    dy = np.asarray(ys, dtype=np.float64) - origin_y
+    return np.sqrt(dx * dx + dy * dy)
 
 
 def grid_cells(
@@ -109,34 +67,26 @@ def grid_cells(
 ):
     """Grid-cell coordinates ``floor(v / cell_size)`` for each point.
 
-    Bit-identical to per-point ``math.floor(x / size)`` under either
-    backend: the division is correctly rounded in both, ``np.floor`` is
-    exact, and the int64 cast is lossless for any coordinate a simulation
-    arena can hold.  Returns a pair of parallel integer lists — the bulk
-    rebucketing path keys cells by plain ``(int, int)`` tuples either way.
-    Mismatched lengths raise ``ValueError`` under both backends, same as
-    :func:`euclidean_distances`.
+    Bit-identical to per-point ``math.floor(x / size)``: the division is
+    correctly rounded, ``np.floor`` is exact, and the int64 cast is
+    lossless for any coordinate a simulation arena can hold.  Returns a
+    pair of parallel integer lists — the bulk rebucketing path keys cells
+    by plain ``(int, int)`` tuples.  Mismatched lengths raise
+    ``ValueError``, same as :func:`euclidean_distances`.
     """
     if len(xs) != len(ys):
         raise ValueError(
             "grid_cells: xs and ys must have equal length "
             f"(got {len(xs)} and {len(ys)})"
         )
-    np = numpy
-    if np is not None:
-        cxs = (
-            np.floor(np.asarray(xs, dtype=np.float64) / cell_size)
-            .astype(np.int64)
-            .tolist()
-        )
-        cys = (
-            np.floor(np.asarray(ys, dtype=np.float64) / cell_size)
-            .astype(np.int64)
-            .tolist()
-        )
-        return cxs, cys
-    floor = math.floor
-    return (
-        [floor(x / cell_size) for x in xs],
-        [floor(y / cell_size) for y in ys],
+    cxs = (
+        np.floor(np.asarray(xs, dtype=np.float64) / cell_size)
+        .astype(np.int64)
+        .tolist()
     )
+    cys = (
+        np.floor(np.asarray(ys, dtype=np.float64) / cell_size)
+        .astype(np.int64)
+        .tolist()
+    )
+    return cxs, cys

@@ -2,15 +2,14 @@
 
 ``accepts_mask`` runs a banned transcendental over the receiver states;
 ``_acceptance_mask`` draws a vector of uniforms even though acceptance
-must never consume randomness.  Both names are parity roots of the PR 10
+must never consume randomness.  Both names are parity roots of the
 batch delivery pipeline.
 """
 
-from repro.util import array
+import numpy as np
 
 
 def accepts_mask(radios, frame, now):
-    np = array.numpy
     gains = np.asarray([radio.gain for radio in radios])
     return np.exp(gains) > float(now)
 

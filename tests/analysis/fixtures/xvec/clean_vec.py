@@ -1,21 +1,20 @@
 """Fixture: every admissible idiom at once — must stay completely silent.
 
-Correctly-rounded primitives (+ - * /, np.sqrt), the shim's stable
-argsort, the per-call backend read, and ordered scalar draws are exactly
-how PR 8's production pipeline is written; none of VEC001..5 may fire.
+Correctly-rounded primitives (+ - * /, np.sqrt), a stable argsort, and
+ordered scalar draws are exactly how the production pipeline is written;
+none of VEC001, VEC004 or VEC005 may fire.
 """
+
+import numpy as np
 
 from repro.util import array
 
 
 def delivery_probabilities(origin_x, origin_y, xs, ys):
-    np = array.numpy
     distances = array.euclidean_distances(origin_x, origin_y, xs, ys)
-    if np is not None:
-        return np.sqrt(distances * distances) * 0.5
-    return [d * 0.5 for d in distances]
+    return np.sqrt(distances * distances) * 0.5
 
 
 def broadcast(rng, candidates):
-    order = array.argsort([c.node_id for c in candidates])
+    order = np.argsort([c.node_id for c in candidates], kind="stable")
     return [rng.random() for _ in order]

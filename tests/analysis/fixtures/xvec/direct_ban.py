@@ -1,12 +1,12 @@
 """Fixture: banned ufunc directly inside a parity root (VEC001).
 
-The backend is bound per call through the shim — the sanctioned idiom —
-so only the ``np.hypot`` call itself is a finding (no VEC002/VEC003).
+numpy is bound by a local alias, so the finding also proves that calls
+through ``np = numpy`` resolve to the banned ``numpy.hypot``.
 """
 
-from repro.util import array
+import numpy
 
 
 def delivery_probabilities(distances):
-    np = array.numpy
+    np = numpy
     return np.hypot(distances, distances)

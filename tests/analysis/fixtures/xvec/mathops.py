@@ -1,7 +1,4 @@
-"""Fixture: banned ufunc two calls from the delivery path (VEC001).
-
-Also fires the per-file VEC002 for the bare numpy import.
-"""
+"""Fixture: banned ufunc two calls from the delivery path (VEC001)."""
 
 import numpy as np
 

@@ -6,7 +6,7 @@ so the finding proves the parity closure reaches *through* the new
 rebucket-path roots, not just into them.
 """
 
-from repro.util import array
+import numpy as np
 
 
 def _rebucket(index, now):
@@ -15,7 +15,6 @@ def _rebucket(index, now):
 
 
 def _epoch_coords(models, time):
-    np = array.numpy
     xs = np.power(np.asarray([m.x for m in models]), 2.0)
     ys = [m.y for m in models]
     return xs, ys

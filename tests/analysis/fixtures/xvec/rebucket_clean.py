@@ -2,10 +2,12 @@
 
 Elementwise state reads for the acceptance mask, correctly-rounded
 arithmetic (subtract, maximum, multiply, add) for the epoch positions,
-and the shim's ``grid_cells`` for bucket coordinates are exactly how the
-production pipeline is written; none of VEC001..5 may fire even though
-every function here is a parity root.
+and ``array.grid_cells`` for bucket coordinates are exactly how the
+production pipeline is written; none of VEC001, VEC004 or VEC005 may
+fire even though every function here is a parity root.
 """
+
+import numpy as np
 
 from repro.util import array
 
@@ -15,9 +17,6 @@ def accepts_mask(radios, frame, now):
 
 
 def positions_at(models, time):
-    np = array.numpy
-    if np is None:
-        return [m.x for m in models], [m.y for m in models]
     starts = np.asarray([m.start_time for m in models])
     elapsed = np.maximum(0.0, time - starts)
     xs = np.asarray([m.x for m in models]) + 2.0 * elapsed

@@ -1,7 +1,7 @@
 """Fixture: order-sensitive reduction feeding a parity root (VEC005).
 
 numpy's pairwise summation associates differently from the sequential
-pure-Python twin; the bare import also fires VEC002 per file.
+scalar reference.
 """
 
 import numpy as np

@@ -198,19 +198,20 @@ def test_leaf_edit_invalidates_exactly_its_dependents(tmp_path):
 
 
 def write_parity_tree(root):
-    """A miniature src layout: the shim leaf plus a parity dependent."""
+    """A miniature src layout: the array leaf plus a parity dependent."""
     tree = root / "tree"
     (tree / "repro" / "util").mkdir(parents=True)
     (tree / "repro" / "net").mkdir(parents=True)
     (tree / "repro" / "util" / "array.py").write_text(
-        "numpy = None\n", encoding="utf-8")
+        "SCALE = 1.0\n", encoding="utf-8")
     (tree / "repro" / "net" / "prop.py").write_text(
+        "import numpy as np\n"
+        "\n"
         "from repro.util import array\n"
         "\n"
         "\n"
         "def delivery_probabilities(distances):\n"
-        "    np = array.numpy\n"
-        "    return np.hypot(distances, distances)\n",
+        "    return np.hypot(distances, distances) * array.SCALE\n",
         encoding="utf-8",
     )
     (tree / "repro" / "idle.py").write_text("VALUE = 1\n", encoding="utf-8")
@@ -225,11 +226,11 @@ def test_shim_leaf_edit_invalidates_exactly_its_vec_dependents(tmp_path):
                for f in cold)
     before = entries_by_file(cache)
 
-    # Touch the shim leaf only: the dependent's per-file findings stay
+    # Touch the array leaf only: the dependent's per-file findings stay
     # cached, but its project key (which folds in the leaf's digest)
     # moves, so its VEC section is recomputed — the bystander's is not.
     (tree / "repro" / "util" / "array.py").write_text(
-        "numpy = None\nBACKEND_GENERATION = 2\n", encoding="utf-8")
+        "SCALE = 1.0\nBACKEND_GENERATION = 2\n", encoding="utf-8")
     findings, stats = analyze_paths_incremental([tree], cache=cache)
     assert stats.analyzed == 1 and stats.cached == 2
     assert not stats.project_cached
@@ -263,7 +264,7 @@ def test_caller_edit_repairs_the_callees_stale_vec_section(tmp_path):
     cache = AnalysisCache(tmp_path / "cache")
     cold, _ = analyze_paths_incremental([tree], cache=cache)
     assert [(f.code, f.line) for f in cold
-            if f.path.endswith("loss.py")] == [("VEC002", 1), ("VEC001", 5)]
+            if f.path.endswith("loss.py")] == [("VEC001", 5)]
 
     # Rename the root: broadcast() stops being a delivery path, so the
     # callee's VEC001 dies even though loss.py itself never changed.

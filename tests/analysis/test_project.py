@@ -111,11 +111,11 @@ def test_shd_fixture_tree_findings_are_exact():
         ("SHD003", "shd003_unpicklable_capture.py", 9),  # Carrier captured
         ("SHD004", "shd004_unordered_merge.py", 7),      # .items() loop
         ("SHD004", "shd004_unordered_merge.py", 13),     # .values() comp
-        ("VEC001", "acceptance.py", 15),                 # np.exp in mask
-        ("VEC004", "acceptance.py", 19),                 # bulk acceptance draw
+        ("VEC001", "acceptance.py", 14),                 # np.exp in mask
+        ("VEC004", "acceptance.py", 18),                 # bulk acceptance draw
         ("VEC004", "bulk_draw.py", 10),                  # rng.random(n)
         ("VEC004", "bulk_draw.py", 14),                  # draw in set loop
-        ("VEC001", "rebucket.py", 19),                   # np.power in rebucket
+        ("VEC001", "rebucket.py", 18),                   # np.power in rebucket
         ("VEC001", "direct_ban.py", 12),                 # np.hypot
         ("VEC005", "reduction.py", 11),                  # np.sum
     ])

@@ -23,9 +23,7 @@ def test_det001_global_random_fixture():
         ("DET001", 3),   # import random
         ("DET001", 4),   # from random import choice
         ("DET001", 5),   # import numpy.random
-        ("VEC002", 5),   # ...which is also a bare numpy import
         ("DET001", 6),   # from numpy import random
-        ("VEC002", 6),   # ...likewise outside the shim
         ("DET001", 10),  # random.random() call
     ]
 
@@ -178,21 +176,6 @@ def test_api001_api002_retired_rules_fire_everywhere():
 
     assert RULES["API001"].status == "removed"
     assert RULES["API002"].status == "removed"
-
-
-def test_api003_spatial_kwargs_fixture():
-    findings = analyze_file(FIXTURES / "api003_spatial_kwargs.py")
-    assert keys(findings) == [
-        ("API003", 5),   # nodes_within(center=...)
-        ("API003", 6),   # _candidates(..., cutoff=...)
-    ]
-    # The protocol spellings on lines 7-8 stay clean.
-
-
-def test_api003_exempts_the_deprecation_shim():
-    source = "def f(world, n):\n    return world.nodes_within(center=n, radius=1.0)\n"
-    assert analyze_source(source, "repro/apps/example.py")
-    assert not analyze_source(source, "repro/phy/world.py")
 
 
 def test_every_rule_has_a_fixture_exercising_it():

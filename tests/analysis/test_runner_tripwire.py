@@ -43,11 +43,11 @@ def test_dirty_cell_fails_loudly_across_the_pool():
 
 def test_clean_cell_passes_with_tripwire_armed():
     outcomes, _, _ = execute_jobs([_job(_clean_driver, "clean")], serial=True)
-    assert outcomes[0].result == SeededRng(3).random()
+    assert outcomes[0].value == SeededRng(3).random()
 
 
 def test_tripwire_escape_hatch():
     outcomes, _, _ = execute_jobs(
         [_job(_dirty_driver, "dirty")], serial=True, tripwire=False
     )
-    assert isinstance(outcomes[0].result, float)
+    assert isinstance(outcomes[0].value, float)

@@ -4,14 +4,13 @@
 / ``UniformGridIndex.insert_batch`` are the rebucketing path's batch
 twins of ``position_at`` / ``math.floor(x / size)`` / per-item
 ``insert``.  Every test here asserts exact float and bucket-order
-equality — the invariant the time-aware grid's epoch rebucketing (and
-therefore every delivery log) rests on — under both backends.
+equality between the numpy batch and the scalar reference — the
+invariant the time-aware grid's epoch rebucketing rests on.
 """
 
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 
 from hypothesis import given, settings, strategies as st
 
@@ -27,16 +26,6 @@ from repro.phy.mobility import (
 )
 from repro.util import array
 from repro.util.rng import SeededRng
-
-
-@contextmanager
-def _python_backend():
-    saved = array.numpy
-    array.numpy = None
-    try:
-        yield
-    finally:
-        array.numpy = saved
 
 
 def _mixed_models(rng: SeededRng, count: int):
@@ -94,8 +83,6 @@ def test_positions_for_is_bit_identical_both_backends(seed, time):
     rng = SeededRng(seed)
     models = _mixed_models(rng, 17)
     _assert_batch_matches_scalar(models, time)
-    with _python_backend():
-        _assert_batch_matches_scalar(models, time)
 
 
 def test_linear_batch_clamps_before_start_time():
@@ -154,8 +141,6 @@ def test_grid_cells_matches_math_floor_both_backends(coords, cell_size):
     expected_x = [math.floor(v / cell_size) for v in xs]
     expected_y = [math.floor(v / cell_size) for v in ys]
     assert array.grid_cells(xs, ys, cell_size) == (expected_x, expected_y)
-    with _python_backend():
-        assert array.grid_cells(xs, ys, cell_size) == (expected_x, expected_y)
 
 
 def test_grid_cells_rejects_mismatched_lengths():

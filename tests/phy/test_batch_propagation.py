@@ -3,8 +3,8 @@
 The batch contract (:mod:`repro.phy.propagation` module docstring) defines
 ``delivery_probabilities`` / ``in_range_mask`` as the elementwise
 application of their scalar twins — exact equality, not approximate.
-These properties hammer that definition for every model, under both the
-numpy and pure-Python backends, with the distance strategies biased
+These properties hammer that definition for every model, with the
+distance strategies biased
 toward the float edges where vectorized rewrites typically diverge
 (cutoff boundaries, narrow SoftDisk ramps, LogDistance's 1% cutoff where
 ``in_range`` deliberately disagrees with ``probability > 0``).
@@ -13,7 +13,6 @@ toward the float edges where vectorized rewrites typically diverge
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 
 from hypothesis import given, settings, strategies as st
 
@@ -23,8 +22,6 @@ from repro.phy.propagation import (
     SoftDisk,
     UnitDisk,
 )
-from repro.util import array
-
 finite = st.floats(min_value=0.0, max_value=1e5, allow_nan=False)
 
 
@@ -44,31 +41,14 @@ def _around(r: float):
     )
 
 
-@contextmanager
-def _python_backend():
-    """Force the pure-Python fallback for the duration of the block."""
-    saved = array.numpy
-    array.numpy = None
-    try:
-        yield
-    finally:
-        array.numpy = saved
-
-
 def _assert_batch_matches_scalar(model: PropagationModel, distances):
-    """Batch == scalar elementwise, under the active backend *and* the
-    pure-Python fallback (the two must also agree with each other)."""
+    """Batch == scalar elementwise."""
     scalar_ps = [model.delivery_probability(d) for d in distances]
     scalar_mask = [model.in_range(d) for d in distances]
     probabilities = model.delivery_probabilities(distances)
     mask = model.in_range_mask(distances)
     assert [float(p) for p in probabilities] == scalar_ps
     assert [bool(hit) for hit in mask] == scalar_mask
-    with _python_backend():
-        assert [
-            float(p) for p in model.delivery_probabilities(distances)
-        ] == scalar_ps
-        assert [bool(h) for h in model.in_range_mask(distances)] == scalar_mask
 
 
 @settings(max_examples=100, deadline=None)
@@ -168,17 +148,9 @@ def test_default_batch_methods_serve_scalar_only_models():
 
     model = Steps()
     distances = [0.0, 4.999, 5.0, 7.5, 10.0, 20.0]
-    for use_fallback in (False, True):
-        ctx = _python_backend() if use_fallback else _noop()
-        with ctx:
-            assert model.delivery_probabilities(distances) == [
-                1.0, 1.0, 0.5, 0.5, 0.0, 0.0,
-            ]
-            assert model.in_range_mask(distances) == [
-                True, True, True, True, False, False,
-            ]
-
-
-@contextmanager
-def _noop():
-    yield
+    assert model.delivery_probabilities(distances) == [
+        1.0, 1.0, 0.5, 0.5, 0.0, 0.0,
+    ]
+    assert model.in_range_mask(distances) == [
+        True, True, True, True, False, False,
+    ]

@@ -1,13 +1,15 @@
 """Indexed vs linear equality under mobility churn, property-style.
 
-Two mirrored universes — one with the time-aware spatial index, one on the
-exhaustive linear scan — are driven through the same randomized (but
-seeded) sequence of node adds, removes, mobility swaps, teleports, clock
-advances, beacons, and range queries.  At every step the indexed answers
-must equal the linear ones *exactly*: same ``nodes_within`` lists, same
-reachable sets, same delivered frames.  Clock advances are long enough to
-cross many epoch boundaries, so rebucketing (and the fast-mover roaming
-fallback) is exercised throughout.
+The world's time-aware index and the medium's binned batch gather are
+each driven through a randomized (but seeded) sequence of node adds,
+removes, mobility swaps, teleports, clock advances, beacons, and range
+queries, and compared against exhaustive linear scans: an inline
+brute-force ``nodes_within``, and the scalar reference medium in a
+mirrored universe.  At every step the answers must be equal *exactly*:
+same ``nodes_within`` lists, same reachable sets, same delivered frames.
+Clock advances are long enough to cross many epoch boundaries, so
+rebucketing (and the fast-mover roaming fallback) is exercised
+throughout.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from repro.radio.ble import BleRadio
 from repro.radio.medium import Medium
 from repro.sim.kernel import Kernel
 from repro.util.rng import SeededRng
+from tests.reference_medium import ReferenceMedium
 
 ARENA_M = 300.0
 
@@ -93,10 +96,8 @@ def _brute_force_within(world: World, center, radius: float):
 
 
 def test_world_nodes_within_identical_with_index_on_and_off_under_churn():
-    kernel_on = Kernel(seed=5)
-    kernel_off = Kernel(seed=5)
-    world_on = World(kernel_on)
-    world_off = World(kernel_off, use_spatial_index=False)
+    kernel = Kernel(seed=5)
+    world = World(kernel)
     ops = SeededRng(2024)
     names = []
     next_id = [0]
@@ -105,8 +106,7 @@ def test_world_nodes_within_identical_with_index_on_and_off_under_churn():
         spec = _make_spec(ops)
         name = f"n{next_id[0]}"
         next_id[0] += 1
-        world_on.add_node(name, mobility=_build_model(spec))
-        world_off.add_node(name, mobility=_build_model(spec))
+        world.add_node(name, mobility=_build_model(spec))
         names.append(name)
 
     for _ in range(20):
@@ -123,47 +123,37 @@ def test_world_nodes_within_identical_with_index_on_and_off_under_churn():
         elif op == "remove" and len(names) > 4:
             name = ops.choice(names)
             names.remove(name)
-            world_on.remove_node(name)
-            world_off.remove_node(name)
+            world.remove_node(name)
         elif op == "retarget" and names:
             name = ops.choice(names)
-            spec = _make_spec(ops)
-            world_on.node(name).set_mobility(_build_model(spec))
-            world_off.node(name).set_mobility(_build_model(spec))
+            world.node(name).set_mobility(_build_model(_make_spec(ops)))
         elif op == "teleport" and names:
             name = ops.choice(names)
             x = ops.uniform(0.0, ARENA_M)
             y = ops.uniform(0.0, ARENA_M)
-            world_on.node(name).move_to(Position(x, y))
-            world_off.node(name).move_to(Position(x, y))
+            world.node(name).move_to(Position(x, y))
         elif op == "advance":
             dt = ops.uniform(0.5, 20.0)  # crosses epochs (≤ 60 s each)
-            kernel_on.run_until(kernel_on.now + dt)
-            kernel_off.run_until(kernel_off.now + dt)
+            kernel.run_until(kernel.now + dt)
         elif op == "query" and names:
             center = ops.choice(names)
             radius = ops.choice((10.0, 40.0, 90.0, 170.0))
-            found_on = [
+            found = [
                 node.name
-                for node in world_on.nodes_within(world_on.node(center), radius)
+                for node in world.nodes_within(world.node(center), radius)
             ]
-            found_off = [
-                node.name
-                for node in world_off.nodes_within(world_off.node(center), radius)
-            ]
-            assert found_on == found_off
-            # And both equal the from-scratch exhaustive answer.
-            assert found_on == _brute_force_within(
-                world_on, world_on.node(center), radius
+            # The indexed answer equals the from-scratch exhaustive one.
+            assert found == _brute_force_within(
+                world, world.node(center), radius
             )
             queries += 1
     assert queries > 20  # the op mix actually exercised the comparison
 
 
-def _mirrored_stack(use_spatial_index: bool, specs):
+def _mirrored_stack(medium_cls, specs):
     kernel = Kernel(seed=3)
     world = World(kernel)
-    medium = Medium(kernel, world, use_spatial_index=use_spatial_index)
+    medium = medium_cls(kernel, world)
     radios = []
     heard = []
     for i, spec in enumerate(specs):
@@ -184,10 +174,10 @@ def test_medium_delivery_identical_with_index_on_and_off_under_churn():
     spec_rng = SeededRng(77)
     specs = [_make_spec(spec_rng) for _ in range(40)]
     (kernel_a, world_a, medium_a, radios_a, heard_a) = _mirrored_stack(
-        use_spatial_index=False, specs=specs
+        ReferenceMedium, specs
     )
     (kernel_b, world_b, medium_b, radios_b, heard_b) = _mirrored_stack(
-        use_spatial_index=True, specs=specs
+        Medium, specs
     )
     ops = SeededRng(31337)
     for step in range(120):

@@ -1,14 +1,10 @@
-"""query_arrays == query under seeded churn, on both index flavors.
+"""The uniform grid's struct-of-arrays buckets under seeded churn.
 
-The :class:`~repro.phy.index.CandidateArrays` contract: for a
-:class:`UniformGridIndex`, ``unpositioned + items`` equals the
-:meth:`query` list exactly and ``xs/ys`` are the inserted coordinates;
-for a :class:`TimeAwareGridIndex`, ``items`` equals :meth:`query`'s list
-(``unpositioned`` always empty) and ``xs/ys`` are exactly the floats
-``position_at(now)`` returns per item — the invariant the vectorized
-medium's bit-identical distance kernel rests on.  Churn (insert, remove,
-same-cell and cross-cell moves) is driven by a seeded RNG so failures
-replay.
+Each bucket keeps its items' exact coordinates in parallel arrays; after
+any insert, remove, same-cell or cross-cell move, ``position_of`` must
+report exactly the last stored floats, and ``query`` must still return
+every item within the radius (plus every roaming item).  Churn is driven
+by a seeded RNG so failures replay.
 """
 
 from __future__ import annotations
@@ -16,17 +12,8 @@ from __future__ import annotations
 from hypothesis import given, settings, strategies as st
 
 from repro.phy.geometry import Position
-from repro.phy.index import TimeAwareGridIndex, UniformGridIndex
-from repro.phy.mobility import Linear, RandomWaypoint, Static, WaypointPath
+from repro.phy.index import UniformGridIndex
 from repro.util.rng import SeededRng
-
-
-def _assert_arrays_match_query(index, origin, radius, now):
-    arrays = index.query_arrays(origin, radius, now)
-    assert arrays.unpositioned + arrays.items == index.query(origin, radius, now)
-    assert len(arrays.xs) == len(arrays.items) == len(arrays.ys)
-    assert len(arrays) == len(arrays.items) + len(arrays.unpositioned)
-    return arrays
 
 
 @settings(max_examples=30, deadline=None)
@@ -68,92 +55,11 @@ def test_uniform_grid_arrays_track_churn(seed, steps):
             positions[item] = p
         origin = Position(rng.uniform(0.0, 100.0), rng.uniform(0.0, 100.0))
         radius = rng.uniform(5.0, 40.0)
-        arrays = _assert_arrays_match_query(index, origin, radius, 0.0)
-        for item, x, y in zip(arrays.items, arrays.xs, arrays.ys):
-            stored = positions[item]
-            assert (x, y) == (stored.x, stored.y)
-        for item in arrays.unpositioned:
-            assert positions[item] is None
-
-
-def _mixed_population(rng: SeededRng, count: int):
-    """Static / RandomWaypoint / Linear / WaypointPath mix, seeded."""
-    models = []
-    for i in range(count):
-        flavor = i % 4
-        start = Position(rng.uniform(0.0, 200.0), rng.uniform(0.0, 200.0))
-        if flavor == 0:
-            models.append(Static(start))
-        elif flavor == 1:
-            models.append(
-                RandomWaypoint(
-                    rng.child("walk", str(i)),
-                    width=200.0,
-                    height=200.0,
-                    speed=rng.uniform(0.5, 3.0),
-                )
-            )
-        elif flavor == 2:
-            models.append(
-                Linear(start, (rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)))
-            )
-        else:
-            models.append(
-                WaypointPath(
-                    [
-                        (0.0, start),
-                        (30.0, Position(rng.uniform(0.0, 200.0),
-                                        rng.uniform(0.0, 200.0))),
-                    ]
-                )
-            )
-    return models
-
-
-@settings(max_examples=15, deadline=None)
-@given(seed=st.integers(min_value=0, max_value=2**31))
-def test_time_aware_arrays_match_query_across_times(seed):
-    rng = SeededRng(seed)
-    index = TimeAwareGridIndex(cell_size=25.0)
-    models = _mixed_population(rng, 24)
-    for i, model in enumerate(models):
-        index.insert(f"n{i}", model)
-    mobility = {f"n{i}": m for i, m in enumerate(models)}
-    for _ in range(12):
-        now = rng.uniform(0.0, 60.0)
-        origin = Position(rng.uniform(0.0, 200.0), rng.uniform(0.0, 200.0))
-        radius = rng.uniform(10.0, 80.0)
-        arrays = _assert_arrays_match_query(index, origin, radius, now)
-        assert arrays.unpositioned == []  # this index knows every model
-        for item, x, y in zip(arrays.items, arrays.xs, arrays.ys):
-            exact = mobility[item].position_at(now)
-            # Bit-identical, not approximately equal: these floats feed the
-            # vectorized distance kernel.
-            assert (x, y) == (exact.x, exact.y)
-
-
-def test_time_aware_memo_invalidates_on_mutation():
-    """The per-(now, version) mover-position memo must not serve stale
-    coordinates after an insert/remove at the same timestamp."""
-    index = TimeAwareGridIndex(cell_size=25.0)
-    walk = Linear(Position(10.0, 10.0), (1.0, 0.0))
-    index.insert("a", walk)
-    origin = Position(10.0, 10.0)
-    arrays = index.query_arrays(origin, 50.0, now=5.0)
-    assert arrays.items == ["a"]
-    assert (arrays.xs[0], arrays.ys[0]) == (15.0, 10.0)
-    # Mutate at the same `now`: the memoized position of "a" is still
-    # valid, but the new item must appear with its own exact position.
-    index.insert("b", Linear(Position(20.0, 10.0), (0.0, 1.0)))
-    arrays = index.query_arrays(origin, 50.0, now=5.0)
-    got = dict(zip(arrays.items, zip(arrays.xs, arrays.ys)))
-    assert got == {"a": (15.0, 10.0), "b": (20.0, 15.0)}
-    index.remove("a")
-    arrays = index.query_arrays(origin, 50.0, now=5.0)
-    assert arrays.items == ["b"]
-    # And a later timestamp re-resolves every mover.
-    arrays = index.query_arrays(origin, 50.0, now=6.0)
-    assert (arrays.xs[0], arrays.ys[0]) == (20.0, 16.0)
+        candidates = set(index.query(origin, radius))
+        for item, stored in positions.items():
+            assert index.position_of(item) == stored
+            if stored is None or origin.distance_to(stored) <= radius:
+                assert item in candidates
 
 
 def test_uniform_grid_position_of_reports_stored_coordinates():

@@ -6,14 +6,11 @@ exact equality for every radio class, every frame kind, and every
 reachable radio state.  These properties churn seeded populations through
 the public state machines (enable/disable, scanning start/stop, mesh
 join/leave, monitor windows driven to their exact closing edge) and
-compare the two surfaces under both the numpy and pure-Python backends,
-plus through the medium's grouping seam (``Medium._acceptance_mask``)
+compare the two surfaces directly and through the medium's grouping seam (``Medium._acceptance_mask``)
 over heterogeneous receiver lists.
 """
 
 from __future__ import annotations
-
-from contextlib import contextmanager
 
 from hypothesis import given, settings, strategies as st
 
@@ -27,7 +24,6 @@ from repro.radio.nfc import NfcRadio
 from repro.radio.wifi import WifiRadio
 from repro.sim.kernel import Kernel
 from repro.sim.sharded.shard import MirrorRadio
-from repro.util import array
 
 DEVICE_COUNT = 6
 
@@ -44,20 +40,10 @@ _OPERATIONS = (
 )
 
 
-@contextmanager
-def _python_backend():
-    saved = array.numpy
-    array.numpy = None
-    try:
-        yield
-    finally:
-        array.numpy = saved
-
-
 def _build_population():
     kernel = Kernel(seed=4242)
     world = World(kernel)
-    medium = Medium(kernel, world, vectorized=True)
+    medium = Medium(kernel, world)
     devices = []
     for i in range(DEVICE_COUNT):
         node = world.add_node(f"dev-{i}", position=Position(float(i), 0.0))
@@ -172,8 +158,6 @@ def test_accepts_mask_matches_scalar_under_churn(steps):
     for step in steps:
         _apply(kernel, devices, meshes, step)
     _assert_parity(medium, kernel, devices)
-    with _python_backend():
-        _assert_parity(medium, kernel, devices)
 
 
 def test_monitor_window_edge_is_strict(make_device, kernel):

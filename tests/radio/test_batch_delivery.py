@@ -1,18 +1,15 @@
 """Delivery-time semantics of the batch pipeline's new fast paths.
 
 The batch delivery event may skip its acceptance re-check (state
-versioning), collapse per-receiver dispatch into one ``deliver_batch``
-call (mono-class registry), and drop the duty-cycle branch from that
-loop (duty-cycled-scanner counter) — each elision is only legal when it
-is provably unobservable.  These tests pin the observable side: in-flight
+versioning) and collapse per-receiver dispatch into one ``deliver_batch``
+call (mono-class registry) — each elision is only legal when it is
+provably unobservable.  These tests pin the observable side: in-flight
 state changes still drop frames exactly like the scalar reference,
 elided re-checks really are elided, scalar-only subclass overrides still
-run, and duty-cycled scanning stays byte-identical across backends.
+run, and duty-cycled scanning stays byte-identical to the reference.
 """
 
 from __future__ import annotations
-
-from contextlib import contextmanager
 
 from repro.phy.geometry import Position
 from repro.phy.mobility import Static
@@ -21,18 +18,7 @@ from repro.radio.base import Device, Radio
 from repro.radio.ble import BleRadio, ScanConfig
 from repro.radio.medium import Medium
 from repro.sim.kernel import Kernel
-from repro.util import array
-
-
-@contextmanager
-def _python_backend():
-    saved = array.numpy
-    array.numpy = None
-    try:
-        yield
-    finally:
-        array.numpy = saved
-
+from tests.reference_medium import ReferenceMedium
 
 class _CountingMedium(Medium):
     """Counts acceptance-stage invocations to observe re-check elision."""
@@ -60,10 +46,10 @@ def _line_of_radios(kernel, medium, count, spacing=5.0, radio_cls=BleRadio):
     return radios
 
 
-def _fresh_line(vectorized, medium_cls=Medium, count=4):
+def _fresh_line(medium_cls=Medium, count=4):
     kernel = Kernel(seed=11)
     world = World(kernel)
-    medium = medium_cls(kernel, world, vectorized=vectorized)
+    medium = medium_cls(kernel, world)
     radios = _line_of_radios(kernel, medium, count)
     return kernel, medium, radios
 
@@ -73,8 +59,8 @@ def test_stop_scanning_in_flight_forces_recheck_and_drop():
     dropped at delivery time — the versioned re-check elision must notice
     the state change — with counters matching the scalar reference."""
     outcomes = []
-    for vectorized in (True, False):
-        kernel, medium, radios = _fresh_line(vectorized)
+    for medium_cls in (Medium, ReferenceMedium):
+        kernel, medium, radios = _fresh_line(medium_cls)
         heard = []
         for i, radio in enumerate(radios[1:], start=1):
             radio.start_scanning(
@@ -100,7 +86,7 @@ def test_unchanged_state_elides_the_delivery_recheck():
     """With no acceptance-state churn between scheduling and arrival, the
     acceptance mask runs once per broadcast (the pre-filter); a churned
     medium re-checks at delivery time too."""
-    kernel, medium, radios = _fresh_line(True, medium_cls=_CountingMedium)
+    kernel, medium, radios = _fresh_line(_CountingMedium)
     for radio in radios[1:]:
         radio.start_scanning(lambda payload, mac, distance: None)
     medium.acceptance_calls = 0
@@ -128,7 +114,7 @@ def test_deliver_batch_falls_back_for_scalar_only_overrides():
 
     kernel = Kernel(seed=11)
     world = World(kernel)
-    medium = Medium(kernel, world, vectorized=True)
+    medium = Medium(kernel, world)
     radios = _line_of_radios(kernel, medium, 3, radio_cls=TracingBle)
     heard = []
     for radio in radios[1:]:
@@ -141,37 +127,15 @@ def test_deliver_batch_falls_back_for_scalar_only_overrides():
     assert heard == [b"traced", b"traced"]
 
 
-def test_duty_cycled_scanner_counter_tracks_scan_lifecycle():
-    kernel, medium, radios = _fresh_line(True)
-    assert medium._duty_cycled_scanners == 0
-    radios[1].start_scanning(lambda *a: None)  # continuous: not counted
-    assert medium._duty_cycled_scanners == 0
-    radios[2].start_scanning(
-        lambda *a: None, ScanConfig(window_s=0.25, interval_s=1.0)
-    )
-    assert medium._duty_cycled_scanners == 1
-    radios[3].start_scanning(
-        lambda *a: None, ScanConfig(window_s=0.5, interval_s=1.0)
-    )
-    assert medium._duty_cycled_scanners == 2
-    radios[2].stop_scanning()
-    assert medium._duty_cycled_scanners == 1
-    radios[3].disable()  # disable routes through stop_scanning
-    assert medium._duty_cycled_scanners == 0
-    radios[1].stop_scanning()  # full-duty stop never decrements
-    assert medium._duty_cycled_scanners == 0
-
-
 def test_duty_cycled_scanning_parity_across_paths():
-    """Mixed duty cycles exercise the full per-receiver loop (scan-window
-    RNG rolls) instead of the counter-gated lean one; records, counters,
-    and every radio's frames_heard must match the scalar reference on
-    both backends."""
+    """Mixed duty cycles make deliver_batch roll scan-window RNG per
+    duty-cycled receiver; records, counters, and every radio's
+    frames_heard must match the scalar reference."""
 
-    def run(vectorized):
+    def run(medium_cls):
         kernel = Kernel(seed=29)
         world = World(kernel)
-        medium = Medium(kernel, world, vectorized=vectorized)
+        medium = medium_cls(kernel, world)
         radios = _line_of_radios(kernel, medium, 8, spacing=3.0)
         heard = []
         for i, radio in enumerate(radios):
@@ -198,11 +162,9 @@ def test_duty_cycled_scanning_parity_across_paths():
             [radio.frames_heard for radio in radios],
         )
 
-    vec = run(True)
-    scalar = run(False)
-    with _python_backend():
-        fallback = run(True)
-    assert vec == scalar == fallback
+    vec = run(Medium)
+    scalar = run(ReferenceMedium)
+    assert vec == scalar
     heard = vec[0]
     assert heard  # deliveries happened
     # Duty-cycled radios actually missed some frames (the RNG path ran):

@@ -1,10 +1,18 @@
 """The wireless medium: range gating and delivery."""
 
+import gc
+import weakref
+
 import pytest
 
+from repro.phy.geometry import Position
 from repro.phy.propagation import UnitDisk
+from repro.phy.world import World
+from repro.radio.base import Device
+from repro.radio.ble import BleRadio
 from repro.radio.frame import RadioKind
-from repro.radio.medium import DEFAULT_RANGES
+from repro.radio.medium import DEFAULT_RANGES, Medium
+from repro.sim.kernel import Kernel
 
 
 def _scan_all(device, heard):
@@ -126,14 +134,14 @@ def test_frames_dropped_counts_airtime_losses(kernel, medium, make_device):
 
 
 def test_broadcast_uses_spatial_pruning(kernel, medium, make_device):
-    # Far-away radios must not even be distance-tested: the grid candidate
-    # set for a BLE broadcast from the origin excludes them outright.
+    # Far-away radios must not even be distance-tested: the cell batch
+    # for a BLE broadcast from the origin excludes them outright.
     a = make_device("a", x=0)
     make_device("b", x=10)
     make_device("far", x=5000)
     origin = a.radios[RadioKind.BLE].node.position
-    candidates = medium._candidates(RadioKind.BLE, origin, 30.0)
-    names = {radio.device.name for radio in candidates}
+    batch = medium._cell_batch(RadioKind.BLE, origin, 30.0)
+    names = {radio.device.name for radio in batch.radios}
     assert "far" not in names
     assert "b" in names
 
@@ -163,3 +171,25 @@ def test_radios_returns_an_immutable_snapshot(medium, make_device):
     medium.detach(b.radios[RadioKind.BLE])
     assert b.radios[RadioKind.BLE] in snapshot
     assert b.radios[RadioKind.BLE] not in medium.radios(RadioKind.BLE)
+
+
+def test_finished_scene_is_collectable():
+    """Nothing the medium caches may hide a finished scene from the cycle
+    collector (numpy arrays do not report the objects they hold): once
+    the last reference goes, the medium and its radios are freed."""
+    kernel = Kernel(seed=5)
+    world = World(kernel)
+    medium = Medium(kernel, world)
+    radios = []
+    for i in range(3):
+        node = world.add_node(f"g{i}", position=Position(i * 5.0, 0.0))
+        device = Device(kernel, node)
+        radios.append(device.add_radio(BleRadio(device, medium)))
+        radios[-1].enable()
+        radios[-1].start_scanning(lambda payload, mac, distance: None)
+    assert radios[0].advertise_once(b"x") == 2
+    kernel.run_until(1.0)
+    alive = weakref.ref(medium)
+    del kernel, world, medium, radios, node, device
+    gc.collect()
+    assert alive() is None

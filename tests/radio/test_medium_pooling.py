@@ -3,8 +3,9 @@
 The batch pipeline's two allocation optimizations are observable without
 touching delivery semantics: ``batch_cache_hits``/``batch_cache_misses``
 count per-(timestamp, version) candidate-gather reuse, and the
-``_Delivery``/``_BatchDelivery`` shells recycle through the medium's
-pools — the same object identity serving successive transmissions.
+``_BatchDelivery`` shells recycle through the medium's pool — the same
+object identity serving successive transmissions.  The scalar reference
+medium pools its per-receiver ``_Delivery`` shells the same way.
 """
 
 from __future__ import annotations
@@ -15,12 +16,13 @@ from repro.radio.base import Device
 from repro.radio.ble import BleRadio
 from repro.radio.medium import Medium
 from repro.sim.kernel import Kernel
+from tests.reference_medium import ReferenceMedium
 
 
-def _population(vectorized, count=3, spacing=1.0):
+def _population(medium_cls=Medium, count=3, spacing=1.0):
     kernel = Kernel(seed=11)
     world = World(kernel)
-    medium = Medium(kernel, world, vectorized=vectorized)
+    medium = medium_cls(kernel, world)
     heard = []
     radios = []
     for i in range(count):
@@ -36,7 +38,7 @@ def _population(vectorized, count=3, spacing=1.0):
 
 
 def test_same_cell_senders_share_one_gather():
-    kernel, medium, radios, _ = _population(vectorized=True)
+    kernel, medium, radios, _ = _population()
     assert (medium.batch_cache_hits, medium.batch_cache_misses) == (0, 0)
     radios[0].advertise_once(b"a")
     assert (medium.batch_cache_hits, medium.batch_cache_misses) == (0, 1)
@@ -47,7 +49,7 @@ def test_same_cell_senders_share_one_gather():
 
 
 def test_clock_advance_invalidates_the_batch_cache():
-    kernel, medium, radios, _ = _population(vectorized=True)
+    kernel, medium, radios, _ = _population()
     radios[0].advertise_once(b"a")
     kernel.run_until(1.0)
     radios[0].advertise_once(b"b")
@@ -55,7 +57,7 @@ def test_clock_advance_invalidates_the_batch_cache():
 
 
 def test_attach_invalidates_the_batch_cache():
-    kernel, medium, radios, _ = _population(vectorized=True)
+    kernel, medium, radios, _ = _population()
     radios[0].advertise_once(b"a")
     node = medium.world.add_node("late", position=Position(0.5, 0.0))
     device = Device(kernel, node)
@@ -67,7 +69,7 @@ def test_attach_invalidates_the_batch_cache():
 
 
 def test_batch_shells_recycle_through_the_pool():
-    kernel, medium, radios, heard = _population(vectorized=True)
+    kernel, medium, radios, heard = _population()
     assert medium._batch_pool == []
     radios[0].advertise_once(b"a")
     kernel.run_until(1.0)
@@ -83,7 +85,7 @@ def test_batch_shells_recycle_through_the_pool():
 
 
 def test_scalar_shells_recycle_through_the_pool():
-    kernel, medium, radios, heard = _population(vectorized=False)
+    kernel, medium, radios, heard = _population(ReferenceMedium)
     radios[0].advertise_once(b"a")
     kernel.run_until(1.0)
     delivered = len([1 for _, payload in heard if payload == b"a"])
@@ -97,8 +99,8 @@ def test_scalar_shells_recycle_through_the_pool():
 
 
 def test_counters_survive_on_scalar_medium_untouched():
-    kernel, medium, radios, _ = _population(vectorized=False)
+    kernel, medium, radios, _ = _population(ReferenceMedium)
     radios[0].advertise_once(b"a")
     kernel.run_until(1.0)
-    # The scalar loop never consults the batch cache.
+    # The scalar reference never consults the batch cache.
     assert (medium.batch_cache_hits, medium.batch_cache_misses) == (0, 0)

@@ -1,28 +1,27 @@
-"""The vectorized broadcast pipeline is byte-identical to the scalar loop.
+"""The batch broadcast pipeline is byte-identical to the scalar reference.
 
-Three executions of the same seeded scenario — scalar reference
-(``vectorized=False``), vectorized with numpy active, and vectorized on
-the pure-Python fallback — must produce the same delivery records *and*
-leave the medium's RNG stream in the same state (the draw-order contract:
-one uniform per 0<p<1 candidate, ascending attach order, sender
-excluded).  SoftDisk propagation makes the stochastic path load-bearing;
-UnitDisk exercises the no-draw fast path.
+The same seeded scenario runs on the production ``Medium`` and on the
+scalar oracle (:class:`tests.reference_medium.ReferenceMedium`): both must
+produce the same delivery records *and* leave the medium's RNG stream in
+the same state (the draw-order contract: one uniform per 0<p<1
+candidate, ascending attach order, sender excluded).  SoftDisk makes the
+stochastic path load-bearing; LogDistance, which has no cutoff, runs one
+batch of every radio and draws for nearly every candidate; UnitDisk
+exercises the no-draw fast path.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-
 from repro.phy.geometry import Position
 from repro.phy.mobility import RandomWaypoint, Static
-from repro.phy.propagation import SoftDisk, UnitDisk
+from repro.phy.propagation import LogDistance, SoftDisk, UnitDisk
 from repro.phy.world import World
 from repro.radio.base import Device
 from repro.radio.ble import BleRadio
 from repro.radio.frame import RadioKind
 from repro.radio.medium import Medium
 from repro.sim.kernel import Kernel
-from repro.util import array
+from tests.reference_medium import ReferenceMedium
 
 NODE_COUNT = 60
 ARENA_M = 150.0
@@ -30,22 +29,12 @@ ROUNDS = 3
 STEP_S = 2.0
 
 
-@contextmanager
-def _python_backend():
-    saved = array.numpy
-    array.numpy = None
-    try:
-        yield
-    finally:
-        array.numpy = saved
-
-
-def _run_scenario(vectorized: bool, propagation=None):
+def _run_scenario(medium_cls, propagation=None):
     """Seeded mixed Static/RandomWaypoint beacon scenario; returns the
     heard log, the medium counters, and a post-run RNG tail."""
     kernel = Kernel(seed=77)
     world = World(kernel)
-    medium = Medium(kernel, world, propagation=propagation, vectorized=vectorized)
+    medium = medium_cls(kernel, world, propagation=propagation)
     heard = []
     radios = []
     for i in range(NODE_COUNT):
@@ -88,69 +77,90 @@ def _run_scenario(vectorized: bool, propagation=None):
     return heard, counters, tail
 
 
-def _assert_three_way_parity(propagation):
-    vec = _run_scenario(True, propagation)
-    scalar = _run_scenario(False, propagation)
-    with _python_backend():
-        fallback = _run_scenario(True, propagation)
-    assert vec[0] == scalar[0] == fallback[0]
-    assert vec[1] == scalar[1] == fallback[1]
-    assert vec[2] == scalar[2] == fallback[2]
-    assert vec[1][1] > 0  # the layout actually delivered frames
-    return vec
+def _assert_reference_parity(propagation):
+    batch = _run_scenario(Medium, propagation)
+    scalar = _run_scenario(ReferenceMedium, propagation)
+    assert batch[0] == scalar[0]
+    assert batch[1] == scalar[1]
+    assert batch[2] == scalar[2]
+    assert batch[1][1] > 0  # the layout actually delivered frames
+    return batch
 
 
-def test_unit_disk_parity_scalar_vectorized_fallback():
-    vec = _assert_three_way_parity(None)
+def test_unit_disk_parity_with_the_scalar_reference():
+    batch = _assert_reference_parity(None)
     # UnitDisk never draws: the RNG tail equals a virgin child stream's.
     virgin = Kernel(seed=77).rng.child("medium")
-    assert vec[2] == [virgin.random() for _ in range(5)]
+    assert batch[2] == [virgin.random() for _ in range(5)]
 
 
 def test_soft_disk_parity_exercises_the_draw_path():
     propagation = {RadioKind.BLE: SoftDisk(inner=12.0, outer=30.0)}
-    vec = _assert_three_way_parity(propagation)
+    batch = _assert_reference_parity(propagation)
     # SoftDisk's grey zone must actually have drawn: the tail diverges
     # from a virgin stream, proving the stochastic path ran (and matched).
     virgin = Kernel(seed=77).rng.child("medium")
-    assert vec[2] != [virgin.random() for _ in range(5)]
+    assert batch[2] != [virgin.random() for _ in range(5)]
 
 
-def test_vectorized_is_the_default_and_scalar_is_reachable(kernel, world):
-    assert Medium(kernel, world).vectorized is True
-    assert Medium(kernel, world, vectorized=False).vectorized is False
+def test_log_distance_parity_draws_across_the_whole_kind():
+    propagation = {RadioKind.BLE: LogDistance(reference_range=20.0)}
+    batch = _assert_reference_parity(propagation)
+    virgin = Kernel(seed=77).rng.child("medium")
+    assert batch[2] != [virgin.random() for _ in range(5)]
 
 
-def test_no_index_medium_falls_back_to_scalar_broadcast(kernel):
-    """Without a spatial index there is no grid to batch over: the
-    vectorized medium must quietly use the scalar loop and still deliver."""
-    world = World(kernel, use_spatial_index=False)
-    medium = Medium(kernel, world, use_spatial_index=False, vectorized=True)
-    a_node = world.add_node("a", position=Position(0.0, 0.0))
-    b_node = world.add_node("b", position=Position(10.0, 0.0))
+def test_vectorized_is_the_default_and_scalar_is_reachable():
+    """Production broadcasts through the cached batch gather; the scalar
+    loop survives only as the test oracle, which never touches it."""
+    for medium_cls, gathers in ((Medium, 1), (ReferenceMedium, 0)):
+        k = Kernel(seed=3)
+        w = World(k)
+        medium = medium_cls(k, w)
+        radios = []
+        for name, x in (("a", 0.0), ("b", 10.0)):
+            device = Device(k, w.add_node(name, position=Position(x, 0.0)))
+            radios.append(device.add_radio(BleRadio(device, medium)))
+            radios[-1].enable()
+        radios[1].start_scanning(lambda payload, mac, distance: None)
+        assert radios[0].advertise_once(b"ping") == 1
+        assert medium.batch_cache_misses == gathers
+
+
+def test_unbounded_model_runs_one_batch_of_every_radio(kernel, world):
+    """LogDistance has no cutoff: every radio of the kind is a candidate,
+    however far away, and one batch serves every sender."""
+    medium = Medium(
+        kernel, world,
+        propagation={RadioKind.BLE: LogDistance(reference_range=1e6)},
+    )
     heard = []
-    for name, node in (("a", a_node), ("b", b_node)):
-        device = Device(kernel, node)
+    radios = []
+    for name, x in (("a", 0.0), ("b", 5000.0), ("c", -5000.0)):
+        device = Device(kernel, world.add_node(name, position=Position(x, 0.0)))
         radio = device.add_radio(BleRadio(device, medium))
         radio.enable()
-        if name == "b":
-            radio.start_scanning(
-                lambda payload, mac, distance: heard.append((payload, distance))
-            )
-        else:
-            sender = radio
-    sender.advertise_once(b"ping")
+        radio.start_scanning(
+            lambda payload, mac, distance, me=name: heard.append((me, payload))
+        )
+        radios.append(radio)
+    radios[0].advertise_once(b"far")
+    radios[1].advertise_once(b"wide")
     kernel.run_until(1.0)
-    assert heard == [(b"ping", 10.0)]
+    assert sorted(heard) == [
+        ("a", b"wide"), ("b", b"far"), ("c", b"far"), ("c", b"wide"),
+    ]
+    assert (medium.batch_cache_hits, medium.batch_cache_misses) == (1, 1)
 
 
 def test_unit_disk_boundary_is_inclusive_both_paths(kernel):
     """A receiver at exactly the UnitDisk radius hears the frame under
-    both pipelines (<= comparison, no float drift)."""
-    for vectorized in (True, False):
+    both the batch medium and the scalar reference (<= comparison, no
+    float drift)."""
+    for medium_cls in (Medium, ReferenceMedium):
         k = Kernel(seed=3)
         w = World(k)
-        m = Medium(k, w, vectorized=vectorized)
+        m = medium_cls(k, w)
         radius = UnitDisk(30.0).radius
         sender_node = w.add_node("s", position=Position(0.0, 0.0))
         edge_node = w.add_node("e", position=Position(radius, 0.0))

@@ -141,7 +141,6 @@ def test_sweep_refuses_foreign_prefixes():
 def test_from_raw_wraps_bare_values():
     cell = CellResult.from_raw("fig7", "Omni", 21, {"latency": 5.0})
     assert cell.value == {"latency": 5.0}
-    assert cell.result == cell.value  # back-compat alias
     assert cell.artifacts == {}
 
 

@@ -2,12 +2,14 @@
 
 The runner's contract is that fanning cells out over processes changes
 wall-clock only: every structured result must match the serial drivers
-field for field at any seed.  The medium's contract is that the spatial
-index prunes work, never outcomes.
+field for field at any seed.  The medium's contract is that its binned
+batch gather prunes work, never outcomes: it must match the scalar
+reference medium, which scans every radio linearly.
 """
 
 import pytest
 
+from repro.experiments import mobility_exp
 from repro.experiments.controlled import run_table4
 from repro.experiments.disseminate_exp import run_table5
 from repro.experiments.mobility_exp import run_mobility
@@ -21,6 +23,7 @@ from repro.radio.medium import Medium
 from repro.runner import run_experiment
 from repro.sim.kernel import Kernel
 from repro.util.rng import SeededRng
+from tests.reference_medium import ReferenceMedium
 
 DRIVERS = {
     "table4": run_table4,
@@ -62,23 +65,22 @@ def test_runner_timings_are_recorded():
                for cell in payload["cells"])
 
 
-def test_bench_payload_records_array_backend(monkeypatch):
-    from repro.util import array
+def test_bench_payload_records_array_backend():
+    import numpy
 
     report = run_experiment("fig7", serial=True)
     payload = report.to_bench_dict()
-    assert payload["array_backend"] == array.backend_name()
-    assert payload["numpy_version"] == array.numpy_version()
-    if array.numpy is not None:
-        assert payload["array_backend"] == "numpy"
-        assert payload["numpy_version"]  # non-empty version string
+    assert payload["array_backend"] == "numpy"
+    assert payload["numpy_version"] == numpy.__version__
 
-    # The fields snapshot the backend at report construction: a digest
-    # from a pure-Python run must say so even if numpy exists on disk.
-    monkeypatch.setattr(array, "numpy", None)
-    fallback = run_experiment("fig7", serial=True)
-    assert fallback.to_bench_dict()["array_backend"] == "python"
-    assert fallback.to_bench_dict()["numpy_version"] == ""
+
+def test_mobility_scene_matches_the_scalar_reference(monkeypatch):
+    """The all-mobile runner cell is identical, field for field (counters
+    and delivery digest), when its medium is the scalar reference."""
+    production = mobility_exp.run_mobility(seed=41)
+    monkeypatch.setattr(mobility_exp, "Medium", ReferenceMedium)
+    assert mobility_exp.run_mobility(seed=41) == production
+    assert production[0].delivery_count > 0
 
 
 # -- grid vs linear medium ---------------------------------------------------
@@ -87,11 +89,11 @@ NODE_COUNT = 200
 ARENA_M = 400.0
 
 
-def _build_layout(use_spatial_index):
+def _build_layout(medium_cls):
     """200 BLE devices (10% mobile) on a fixed random layout, all scanning."""
     kernel = Kernel(seed=7)
     world = World(kernel)
-    medium = Medium(kernel, world, use_spatial_index=use_spatial_index)
+    medium = medium_cls(kernel, world)
     layout_rng = SeededRng(424242)
     radios = []
     heard = {}
@@ -99,7 +101,7 @@ def _build_layout(use_spatial_index):
         x = layout_rng.uniform(0.0, ARENA_M)
         y = layout_rng.uniform(0.0, ARENA_M)
         name = f"n{i}"
-        if i % 10 == 0:  # a roaming minority exercises the unbucketed path
+        if i % 10 == 0:  # a mobile minority moves between stamps
             node = world.add_node(name, mobility=Linear(Position(x, y), (1.0, -0.5)))
         else:
             node = world.add_node(name, position=Position(x, y))
@@ -116,8 +118,8 @@ def _build_layout(use_spatial_index):
     return kernel, medium, radios, heard
 
 
-def _run_broadcast_round(use_spatial_index):
-    kernel, medium, radios, heard = _build_layout(use_spatial_index)
+def _run_broadcast_round(medium_cls):
+    kernel, medium, radios, heard = _build_layout(medium_cls)
     kernel.run_until(1.0)
     for index, radio in enumerate(radios):
         if index % 5 == 0:
@@ -128,8 +130,8 @@ def _run_broadcast_round(use_spatial_index):
 
 
 def test_indexed_medium_delivers_identical_frame_set():
-    linear_heard, linear_counters = _run_broadcast_round(use_spatial_index=False)
-    grid_heard, grid_counters = _run_broadcast_round(use_spatial_index=True)
+    linear_heard, linear_counters = _run_broadcast_round(ReferenceMedium)
+    grid_heard, grid_counters = _run_broadcast_round(Medium)
     assert grid_counters == linear_counters
     assert grid_heard == linear_heard
     # Sanity: the layout actually produced traffic to compare.
@@ -137,8 +139,8 @@ def test_indexed_medium_delivers_identical_frame_set():
 
 
 def test_indexed_medium_reachable_sets_match_linear():
-    kernel_a, medium_a, radios_a, _ = _build_layout(use_spatial_index=False)
-    kernel_b, medium_b, radios_b, _ = _build_layout(use_spatial_index=True)
+    kernel_a, medium_a, radios_a, _ = _build_layout(ReferenceMedium)
+    kernel_b, medium_b, radios_b, _ = _build_layout(Medium)
     kernel_a.run_until(1.0)
     kernel_b.run_until(1.0)
     for radio_a, radio_b in zip(radios_a, radios_b):

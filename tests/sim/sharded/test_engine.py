@@ -1,12 +1,24 @@
-"""End-to-end digest equality: serial vs sharded, inline vs processes."""
+"""End-to-end digest equality: serial vs sharded, inline vs processes.
+
+The serial run on the production medium must also match the serial run
+on the scalar reference medium, and a shard worker that dies mid-run must
+fail the run at once.
+"""
+
+import multiprocessing
+import os
+import time
 
 import pytest
 
 from repro.phy.geometry import Position
 from repro.phy.mobility import MobilityModel
-from repro.sim.sharded import ScenarioSpec, run_serial, run_sharded
+from repro.runner import artifacts
+from repro.sim.sharded import ScenarioSpec, engine, run_serial, run_sharded
 from repro.sim.sharded.engine import canonical_records, delivery_digest
+from repro.sim.sharded.shard import ShardRuntime
 from repro.sim.sharded.spec import build_models, population_speed_cap
+from tests.reference_medium import ReferenceMedium
 
 SPEC = ScenarioSpec(
     name="engine-eq",
@@ -45,6 +57,39 @@ def test_process_sharded_matches_serial(serial_outcome):
     assert outcome.mode == "sharded-processes"
     assert outcome.digest == serial_outcome.digest
     assert outcome.record_count == serial_outcome.record_count
+
+
+def test_serial_matches_the_scalar_reference(serial_outcome, monkeypatch):
+    monkeypatch.setattr(engine, "Medium", ReferenceMedium)
+    reference = run_serial(SPEC)
+    assert reference.digest == serial_outcome.digest
+    assert reference.record_count == serial_outcome.record_count
+    assert (reference.frames_sent, reference.frames_dropped) == (
+        serial_outcome.frames_sent, serial_outcome.frames_dropped)
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="the monkeypatched shard code reaches workers only via fork",
+)
+def test_dead_shard_worker_fails_fast_without_leaking_segments(monkeypatch):
+    token = f"radead{os.getpid():x}"
+    monkeypatch.setattr(artifacts, "make_run_token", lambda: token)
+    original = ShardRuntime.run_window
+
+    def run_window(self, t1):
+        if self.shard_index == 1:
+            os._exit(1)  # no message, no cleanup: a crashed worker
+        return original(self, t1)
+
+    monkeypatch.setattr(ShardRuntime, "run_window", run_window)
+    started = time.monotonic()
+    with pytest.raises(RuntimeError, match="shard 1 died mid-run"):
+        run_sharded(SPEC, 3, processes=True)
+    assert time.monotonic() - started < 10.0
+    if os.path.isdir("/dev/shm"):
+        assert [name for name in os.listdir("/dev/shm")
+                if name.startswith(token)] == []
 
 
 def test_process_sharded_inline_artifacts_match_serial(serial_outcome):

@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from repro.phy.geometry import Position
 from repro.sim.sharded.partition import StripPlan
@@ -47,6 +47,8 @@ def test_invalid_plans_rejected():
     reach=st.floats(min_value=0.0, max_value=400.0, allow_nan=False),
     shards=st.integers(min_value=1, max_value=8),
 )
+@example(x=200.0, reach=0.0, shards=5)  # on the edge shared by strips 0, 1
+@example(x=600.0, reach=0.0, shards=5)  # on the edge shared by strips 2, 3
 def test_property_shards_within_matches_xdist(x, reach, shards):
     # shards_within must be exactly the shards whose strip x-distance is
     # within reach — the halo criterion evaluates over this set.

@@ -1,12 +1,10 @@
-"""The numpy shim: backend selection and bit-identical fallbacks."""
+"""The shared numpy kernels: bit-identical to the scalar math formulas."""
 
 from __future__ import annotations
 
 import math
-import os
-import subprocess
-import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -30,28 +28,12 @@ adversarial = st.one_of(
 )
 
 
-def test_backend_name_tracks_the_numpy_attribute(monkeypatch):
-    if array.numpy is not None:
-        assert array.backend_name() == "numpy"
-    monkeypatch.setattr(array, "numpy", None)
-    assert array.backend_name() == "python"
-
-
-def test_have_numpy_is_frozen_at_import(monkeypatch):
-    # HAVE_NUMPY reports the import-time selection; monkeypatching the
-    # live attribute (what hot paths read) must not retroactively flip it.
-    before = array.HAVE_NUMPY
-    monkeypatch.setattr(array, "numpy", None)
-    assert array.HAVE_NUMPY is before
-
-
-def test_euclidean_distances_python_matches_math_sqrt(monkeypatch):
-    monkeypatch.setattr(array, "numpy", None)
+def test_euclidean_distances_python_matches_math_sqrt():
     xs = [0.0, 3.0, -7.5, 123.456]
     ys = [0.0, 4.0, 2.25, -9.0]
     got = array.euclidean_distances(1.0, -2.0, xs, ys)
-    assert isinstance(got, list)
-    for d, x, y in zip(got, xs, ys):
+    assert isinstance(got, np.ndarray)
+    for d, x, y in zip(got.tolist(), xs, ys):
         dx = x - 1.0
         dy = y + 2.0
         assert d == math.sqrt(dx * dx + dy * dy)
@@ -65,8 +47,6 @@ def test_euclidean_distances_python_matches_math_sqrt(monkeypatch):
 def test_euclidean_distances_backends_are_bit_identical(origin, points):
     """The ground rule the whole batch pipeline rests on: numpy's
     sqrt(dx*dx + dy*dy) is bit-identical to the math-module scalar form."""
-    if array.numpy is None:
-        pytest.skip("numpy inactive in this environment")
     ox, oy = origin
     xs = [p[0] for p in points]
     ys = [p[1] for p in points]
@@ -78,32 +58,15 @@ def test_euclidean_distances_backends_are_bit_identical(origin, points):
     assert [float(d) for d in vectorized] == scalar
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.lists(st.integers(min_value=-(2**40), max_value=2**40), max_size=30))
-def test_argsort_backends_agree_and_are_stable(keys):
-    expected = sorted(range(len(keys)), key=keys.__getitem__)
-    assert array.argsort(keys) == expected
+def test_numpy_version_tracks_the_backend():
+    assert array.backend_name() == "numpy"
+    assert array.numpy_version() == str(np.__version__)
 
 
-def test_argsort_python_fallback(monkeypatch):
-    monkeypatch.setattr(array, "numpy", None)
-    assert array.argsort([30, 10, 20, 10]) == [1, 3, 2, 0]
-    assert array.argsort([]) == []
-
-
-def test_numpy_version_tracks_the_backend(monkeypatch):
-    if array.numpy is not None:
-        assert array.numpy_version() == str(array.numpy.__version__)
-    monkeypatch.setattr(array, "numpy", None)
-    assert array.numpy_version() == ""
-
-
-def test_euclidean_distances_rejects_mismatched_lengths(monkeypatch):
+def test_euclidean_distances_rejects_mismatched_lengths():
+    # No broadcasting, and no silent truncation to the shorter sequence.
     with pytest.raises(ValueError, match="equal length"):
         array.euclidean_distances(0.0, 0.0, [1.0, 2.0], [3.0])
-    # Identical contract under the pure-Python twin — no silent zip
-    # truncation to the shorter sequence.
-    monkeypatch.setattr(array, "numpy", None)
     with pytest.raises(ValueError, match="equal length"):
         array.euclidean_distances(0.0, 0.0, [1.0], [2.0, 3.0])
 
@@ -116,9 +79,7 @@ def test_euclidean_distances_rejects_mismatched_lengths(monkeypatch):
 def test_euclidean_distances_adversarial_bit_parity(origin, points):
     """Bit-for-bit parity over the full finite float64 range — subnormals,
     signed zeros, and magnitudes that overflow ``dx*dx`` to infinity must
-    round (and overflow) identically under both backends."""
-    if array.numpy is None:
-        pytest.skip("numpy inactive in this environment")
+    round (and overflow) identically to the scalar form."""
     ox, oy = origin
     xs = [p[0] for p in points]
     ys = [p[1] for p in points]
@@ -134,42 +95,3 @@ def test_euclidean_distances_adversarial_bit_parity(origin, points):
         # different floats and a parity suite must tell them apart.
         assert math.copysign(1.0, g) == math.copysign(1.0, s)
         assert g == s
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.integers(min_value=-8, max_value=8), max_size=40))
-def test_argsort_tie_order_is_identical_across_backends(keys):
-    """Heavy-tie inputs: the stable kind must keep original order for
-    equal keys under numpy exactly as the pure-Python sorted() does."""
-    expected = sorted(range(len(keys)), key=keys.__getitem__)
-    assert array.argsort(keys) == expected
-    if array.numpy is not None:
-        # And the fallback agrees with the numpy path on the same input.
-        np_result = array.argsort(keys)
-        saved = array.numpy
-        try:
-            array.numpy = None
-            assert array.argsort(keys) == np_result
-        finally:
-            array.numpy = saved
-
-
-def test_repro_no_numpy_disables_the_backend_at_import():
-    """REPRO_NO_NUMPY=1 must force the pure-Python backend in a fresh
-    interpreter even when numpy is installed."""
-    env = dict(os.environ, REPRO_NO_NUMPY="1")
-    env["PYTHONPATH"] = "src"
-    out = subprocess.run(
-        [
-            sys.executable,
-            "-c",
-            "from repro.util import array; "
-            "print(array.backend_name(), array.HAVE_NUMPY)",
-        ],
-        capture_output=True,
-        text=True,
-        env=env,
-        cwd=os.path.dirname(os.path.dirname(os.path.dirname(__file__))),
-        check=True,
-    )
-    assert out.stdout.split() == ["python", "False"]
