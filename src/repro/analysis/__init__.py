@@ -1,73 +1,24 @@
-"""Scope-aware static analysis + runtime RNG tripwire.
+"""Per-file static lint + runtime RNG tripwire.
 
 The simulator's core claim — that SP/SA/Omni energy and latency differences
 emerge reproducibly from middleware behaviour — rests on bit-for-bit
-determinism.  This package enforces the invariants that determinism silently
-assumes, two ways:
+determinism.  Runtime gates pin most of it: serial == parallel,
+sharded == serial, production ``Medium`` == the scalar oracle, and
+``MirrorNodeError``.  This package covers the rest, two ways:
 
-- **statically**: ``python -m repro.analysis src/repro`` runs a multi-pass
-  framework — per-file scope/symbol tables (:mod:`repro.analysis.scopes`),
-  lightweight type/dataflow inference (:mod:`repro.analysis.dataflow`), and
-  the rule pass (:mod:`repro.analysis.visitor`) on top — covering the DET
-  determinism rules (global RNG use, wall-clock reads, ``hash()``-derived
-  seeds, unsorted set iteration, ...), SIM sim-time hygiene, FRK
-  fork/pickle safety in the parallel runner, and API deprecated-interface
-  contracts, exiting nonzero on any finding not waived in the checked-in
-  baseline.  Per-file findings are cached by content hash
-  (:mod:`repro.analysis.cache`), and cache misses can fan out over worker
-  processes — serial, parallel, and cache-warm runs are byte-identical;
+- **statically**: ``python -m repro.analysis src/repro`` runs the per-file
+  passes — scope/symbol tables (:mod:`repro.analysis.scopes`), type and
+  dataflow inference (:mod:`repro.analysis.dataflow`), and the rule pass
+  (:mod:`repro.analysis.visitor`) — for the hazards every digest gate
+  would miss (:mod:`repro.analysis.rules` says why for each rule), and
+  exits nonzero on any finding not waived in the checked-in baseline;
 - **at runtime**: :mod:`repro.analysis.tripwire` monkeypatches the
   module-level ``random`` (and ``numpy.random``) entry points to raise, so a
   driver that touches global RNG state fails its cell loudly instead of
   silently degrading cross-process determinism.  The runner engine installs
-  it around every cell.
+  it around every cell and each shard worker around its shard.
 
-See EXPERIMENTS.md ("Determinism invariants") for the rule catalogue and the
-waiver workflow.
+The package itself imports nothing, so the runner and shard workers load
+only the tripwire.  Import from the submodules.  See EXPERIMENTS.md
+("Determinism invariants") for the rule catalogue and the waiver workflow.
 """
-
-from repro.analysis.baseline import Baseline, BaselineError, Waiver
-from repro.analysis.cache import (
-    AnalysisCache,
-    AnalysisStats,
-    analyze_paths_incremental,
-)
-from repro.analysis.project import (
-    analyze_paths,
-    analyze_project,
-    analyze_project_entries,
-)
-from repro.analysis.rules import RULES, RULESET_VERSION, Finding, Rule
-from repro.analysis.scopes import Scope, ScopeBuilder, Symbol, build_scopes
-from repro.analysis.tripwire import GlobalRngError, Tripwire, guard
-from repro.analysis.visitor import (
-    analyze_file,
-    analyze_source,
-    normalize_path,
-)
-
-__all__ = [
-    "AnalysisCache",
-    "AnalysisStats",
-    "Baseline",
-    "BaselineError",
-    "Finding",
-    "GlobalRngError",
-    "RULES",
-    "RULESET_VERSION",
-    "Rule",
-    "Scope",
-    "ScopeBuilder",
-    "Symbol",
-    "Tripwire",
-    "Waiver",
-    "analyze_file",
-    "analyze_paths",
-    "analyze_paths_incremental",
-    "analyze_project",
-    "analyze_project_entries",
-    "analyze_source",
-    "build_scopes",
-    "guard",
-    "normalize_path",
-]

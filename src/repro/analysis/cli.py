@@ -3,43 +3,25 @@
 Examples::
 
     python -m repro.analysis src/repro
-    python -m repro.analysis src/repro --format json
     python -m repro.analysis src/repro --format github   # CI annotations
-    python -m repro.analysis src/repro --format sarif    # code scanning
-    python -m repro.analysis src/repro --jobs 0          # parallel (cpu count)
-    python -m repro.analysis src/repro --no-cache
     python -m repro.analysis src/repro --write-baseline
     python -m repro.analysis --list-rules
 
-Findings go to stdout and are byte-identical between serial, parallel, and
-cache-warm runs; cache statistics go to stderr.  Exit codes: 0 clean, 1 new
-findings, 2 stale waivers only (the baseline lists waivers whose code has
-since been fixed — delete them), 3 bad baseline file.
+Exit codes: 0 clean, 1 new findings, 2 stale waivers only (the baseline
+lists waivers whose code has since been fixed — delete them), 3 bad
+baseline file.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
-import os
 import sys
-import time
 from pathlib import Path
 from typing import List, Optional
 
 from repro.analysis.baseline import Baseline, BaselineError, format_baseline
-from repro.analysis.cache import (
-    DEFAULT_CACHE_DIR,
-    AnalysisCache,
-    analyze_paths_incremental,
-)
-from repro.analysis.report import (
-    render_github,
-    render_json,
-    render_rules,
-    render_sarif,
-    render_text,
-)
+from repro.analysis.report import render_github, render_rules, render_text
+from repro.analysis.visitor import analyze_paths
 
 #: Default baseline filename, looked up relative to the working directory.
 DEFAULT_BASELINE = "DETERMINISM_BASELINE.txt"
@@ -53,17 +35,10 @@ EXIT_BAD_BASELINE = 3
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
-        description="Statically enforce the simulator's invariants: "
-        "determinism (DET: seeded RNG only, no wall clock, no hash()-derived "
-        "seeds, no unsorted set iteration, ...), sim-time hygiene (SIM), "
-        "fork/pickle safety in the parallel runner (FRK), sharded-engine "
-        "invariants via the whole-program pass (SHD), numpy bit-parity and "
-        "RNG draw order on delivery-log-reaching paths (VEC), and in-repo "
-        "deprecated API use (API).  Per-file findings are joined by "
-        "interprocedural ones: DET taints flow through the project call "
-        "graph and fire at the cross-module call site with the chain in "
-        "the message; VEC parity-sensitivity flows the other way, from the "
-        "delivery-log roots down into their callees.",
+        description="Statically enforce the simulator invariants no runtime "
+        "gate covers: determinism (DET: seeded RNG only, no wall clock, no "
+        "hash()-derived seeds, no unsorted set iteration, ...), sim-time "
+        "hygiene (SIM), and fork safety in the parallel runner (FRK).",
     )
     parser.add_argument(
         "paths",
@@ -90,32 +65,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--format",
-        choices=["text", "json", "github", "sarif"],
+        choices=["text", "github"],
         default="text",
         help="report format (default: text; github emits workflow-command "
-        "annotations for CI; sarif emits a SARIF 2.1.0 payload for GitHub "
-        "code scanning)",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="analyze cache misses with N worker processes "
-        "(default: 1 = serial; 0 = cpu count); findings are identical "
-        "whatever N is",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="ignore and do not write the incremental findings cache",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        default=DEFAULT_CACHE_DIR,
-        metavar="DIR",
-        help=f"incremental cache directory (default: {DEFAULT_CACHE_DIR}; "
-        "delete it, or bump rules.ANALYSIS_VERSION, to bust)",
+        "annotations for CI)",
     )
     parser.add_argument(
         "--list-rules",
@@ -139,12 +92,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     for path in paths:
         if not Path(path).exists():
             parser.error(f"no such path: {path}")
-    cache = None if args.no_cache else AnalysisCache(args.cache_dir)
-    jobs = args.jobs if args.jobs > 0 else (os.cpu_count() or 1)
-    started = time.perf_counter()
-    findings, stats = analyze_paths_incremental(paths, jobs=jobs, cache=cache)
-    elapsed = time.perf_counter() - started
-    print(f"{stats.render()}, {elapsed:.3f}s", file=sys.stderr)
+    findings = analyze_paths(paths)
     try:
         baseline = Baseline.load(args.baseline)
     except BaselineError as error:
@@ -157,20 +105,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         return EXIT_CLEAN
     new, stale = baseline.apply(findings)
     waived_count = len(findings) - len(new)
-    if args.format == "json":
-        print(json.dumps(render_json(new, stale, waived_count), indent=2))
-    elif args.format == "sarif":
-        print(json.dumps(render_sarif(new, stale, waived_count), indent=2))
-    elif args.format == "github":
-        print(render_github(new, stale, waived_count))
-    else:
-        print(render_text(new, stale, waived_count))
+    render = render_github if args.format == "github" else render_text
+    print(render(new, stale, waived_count))
     if new:
         return EXIT_FINDINGS
     if stale and not args.allow_stale:
         return EXIT_STALE
     return EXIT_CLEAN
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via __main__.py
-    sys.exit(main())

@@ -9,15 +9,15 @@ symbol table :mod:`repro.analysis.scopes` builds:
   set in another function stays a list (the per-scope fix ROADMAP asked for);
 - **time domains** — does this expression carry *sim-time* (``kernel.now``
   and values assigned from it) or *wall-clock* (``time.time()`` & friends)?
-  SIM002/SIM003 are built on these tags;
+  SIM002 is built on these tags;
 - **dedup sets** — a set used *only* for ``x in s`` / ``s.add(x)`` inside a
   scope that also sorts its output is a dedup accumulator: ``id()`` keys fed
   exclusively into it cannot leak address order (DET005 precision);
 - **commutative loops** — a ``for`` over a set whose body only does bitwise
   accumulation (``|=``, ``&=``, ``^=``) is order-insensitive (DET004
   precision);
-- **worker captures** — lambdas and nested functions handed to
-  ``multiprocessing`` submission APIs cannot cross a spawn boundary (FRK002).
+- **module state** — which module-level containers a function mutates
+  (FRK001).
 """
 
 from __future__ import annotations
@@ -31,14 +31,15 @@ __all__ = [
     "SIM_TIME",
     "WALL_CLOCK",
     "attribute_set_names",
+    "call_name",
     "classify_annotation",
     "classify_value",
     "dedup_suppressed_id_calls",
+    "dotted_name",
     "expr_time_domain",
     "is_commutative_accumulation_loop",
     "sim_time_accumulations",
     "symbol_types",
-    "unpicklable_worker_callable",
     "walk_scope_body",
 ]
 
@@ -68,20 +69,6 @@ WALL_CLOCK_SUFFIXES = (
     "date.today",
 )
 
-#: Attribute methods that submit a callable to a process pool; the first
-#: positional argument must survive pickling in the child.
-POOL_SUBMIT_ATTRS = {
-    "submit",
-    "apply_async",
-    "apply",
-    "map",
-    "map_async",
-    "imap",
-    "imap_unordered",
-    "starmap",
-    "starmap_async",
-}
-
 #: Methods that mutate the container they are called on (FRK001 sinks).
 MUTATING_METHODS = {
     "append", "add", "update", "extend", "insert", "setdefault",
@@ -89,7 +76,8 @@ MUTATING_METHODS = {
 }
 
 
-def _dotted_name(node: ast.AST) -> Optional[str]:
+def dotted_name(node: ast.AST) -> Optional[str]:
+    """``a.b.c`` for a Name/Attribute chain, else None."""
     parts: List[str] = []
     while isinstance(node, ast.Attribute):
         parts.append(node.attr)
@@ -100,7 +88,8 @@ def _dotted_name(node: ast.AST) -> Optional[str]:
     return None
 
 
-def _call_name(node: ast.Call) -> Optional[str]:
+def call_name(node: ast.Call) -> Optional[str]:
+    """The trailing identifier of the called object (``sorted``, ``list``)."""
     if isinstance(node.func, ast.Name):
         return node.func.id
     if isinstance(node.func, ast.Attribute):
@@ -113,7 +102,7 @@ def _annotation_head(node: ast.AST) -> Optional[str]:
         node = node.value
     if isinstance(node, ast.Constant) and isinstance(node.value, str):
         return node.value.split("[", 1)[0].strip().rsplit(".", 1)[-1] or None
-    dotted = _dotted_name(node)
+    dotted = dotted_name(node)
     if dotted is None:
         return None
     return dotted.rsplit(".", 1)[-1]
@@ -147,7 +136,7 @@ def classify_value(value: Optional[ast.AST]) -> Optional[str]:
     if isinstance(value, (ast.Dict, ast.DictComp)):
         return "dict"
     if isinstance(value, ast.Call):
-        name = _call_name(value)
+        name = call_name(value)
         if name in {"set", "frozenset"}:
             return "set"
         if name in {"list", "sorted", "tuple"}:
@@ -166,24 +155,6 @@ def symbol_types(symbol: Symbol) -> Set[str]:
             if tag is not None:
                 types.add(tag)
     return types
-
-
-def is_unordered_set_expr(expr: ast.AST, scope: Scope) -> bool:
-    """True when ``expr`` is statically set-typed (iteration order varies).
-
-    Covers set literals/comprehensions, ``set()``/``frozenset()`` calls,
-    and names whose symbol carries set-type evidence in ``scope``.  Used
-    by the VEC004 draw-order check: an RNG draw inside iteration over
-    such an expression consumes uniforms in an unstable order.
-    """
-    if isinstance(expr, (ast.Set, ast.SetComp)):
-        return True
-    if isinstance(expr, ast.Call):
-        return _call_name(expr) in {"set", "frozenset"}
-    if isinstance(expr, ast.Name):
-        resolved = scope.resolve(expr.id)
-        return resolved is not None and "set" in symbol_types(resolved[1])
-    return False
 
 
 def attribute_set_names(bindings: Iterable[AttributeBinding]) -> Set[str]:
@@ -216,7 +187,7 @@ def expr_time_domain(expr: ast.AST, scope: Scope,
     if _depth > 4:
         return None
     if isinstance(expr, ast.Call):
-        dotted = _dotted_name(expr.func)
+        dotted = dotted_name(expr.func)
         if dotted is not None and any(
             dotted == s or dotted.endswith("." + s) for s in WALL_CLOCK_SUFFIXES
         ):
@@ -397,45 +368,6 @@ def is_commutative_accumulation_loop(node: ast.For) -> bool:
         if not isinstance(statement.target, (ast.Name, ast.Attribute)):
             return False
     return True
-
-
-# -- FRK002: callables that cannot cross a spawn/pickle boundary --------------
-
-
-def unpicklable_worker_callable(call: ast.Call,
-                                scope: Scope) -> Optional[ast.AST]:
-    """The offending callable node if ``call`` ships one to a worker.
-
-    Checks ``pool.submit/map/apply_async/...`` first positional arguments
-    and ``Process(target=...)`` keywords.  Lambdas never pickle; nested
-    functions pickle by qualified name and fail to import in a spawned
-    child.
-    """
-    candidates: List[ast.AST] = []
-    if (isinstance(call.func, ast.Attribute)
-            and call.func.attr in POOL_SUBMIT_ATTRS and call.args):
-        candidates.append(call.args[0])
-    dotted = _dotted_name(call.func)
-    if dotted is not None and (dotted == "Process"
-                               or dotted.endswith(".Process")):
-        for keyword in call.keywords:
-            if keyword.arg == "target":
-                candidates.append(keyword.value)
-    for candidate in candidates:
-        if isinstance(candidate, ast.Lambda):
-            return candidate
-        if isinstance(candidate, ast.Name):
-            resolved = scope.resolve(candidate.id)
-            if resolved is None:
-                continue
-            bind_scope, symbol = resolved
-            if bind_scope.kind in {"function", "lambda"} and any(
-                binding.kind == "function"
-                or isinstance(binding.value, ast.Lambda)
-                for binding in symbol.bindings
-            ):
-                return candidate
-    return None
 
 
 # -- FRK001: module-level mutable state ---------------------------------------

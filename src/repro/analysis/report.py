@@ -1,14 +1,20 @@
-"""Rendering for analysis results — the text report and a JSON payload."""
+"""Rendering for analysis results: the text report and CI annotations."""
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Sequence
+from typing import List, Sequence
 
 from repro.analysis.baseline import Waiver
 from repro.analysis.rules import RULES, Finding
 
-#: Schema tag for ``--format json`` output, bumped on layout changes.
-REPORT_SCHEMA = "repro.analysis/report.v1"
+
+def _summary(new: Sequence[Finding], stale: Sequence[Waiver],
+             waived_count: int) -> str:
+    verdict = "clean" if not new and not stale else "FAILED"
+    return (
+        f"determinism lint: {verdict} — {len(new)} new finding(s), "
+        f"{waived_count} waived, {len(stale)} stale waiver(s)"
+    )
 
 
 def render_text(
@@ -27,44 +33,8 @@ def render_text(
             f"{waiver.path}:{waiver.line}: stale waiver for {waiver.code} "
             f"— no finding matches any more; delete it from the baseline"
         )
-    verdict = "clean" if not new and not stale else "FAILED"
-    lines.append(
-        f"determinism lint: {verdict} — {len(new)} new finding(s), "
-        f"{waived_count} waived, {len(stale)} stale waiver(s)"
-    )
+    lines.append(_summary(new, stale, waived_count))
     return "\n".join(lines)
-
-
-def render_json(
-    new: Sequence[Finding],
-    stale: Sequence[Waiver],
-    waived_count: int,
-) -> Dict[str, Any]:
-    return {
-        "schema": REPORT_SCHEMA,
-        "clean": not new and not stale,
-        "waived": waived_count,
-        "findings": [
-            {
-                "code": f.code,
-                "rule": RULES[f.code].name,
-                "path": f.path,
-                "line": f.line,
-                "col": f.col,
-                "message": f.message,
-            }
-            for f in new
-        ],
-        "stale_waivers": [
-            {
-                "code": w.code,
-                "path": w.path,
-                "line": w.line,
-                "justification": w.justification,
-            }
-            for w in stale
-        ],
-    }
 
 
 def render_github(
@@ -94,103 +64,12 @@ def render_github(
             f"line={waiver.line},title=stale {waiver.code} waiver::"
             "no finding matches any more; delete it from the baseline"
         )
-    verdict = "clean" if not new and not stale else "FAILED"
-    lines.append(
-        f"determinism lint: {verdict} — {len(new)} new finding(s), "
-        f"{waived_count} waived, {len(stale)} stale waiver(s)"
-    )
+    lines.append(_summary(new, stale, waived_count))
     return "\n".join(lines)
 
 
 def _workspace_path(path: str) -> str:
     return f"src/{path}" if path.startswith("repro/") else path
-
-
-#: SARIF spec version emitted by ``--format sarif``.
-SARIF_VERSION = "2.1.0"
-_SARIF_SCHEMA_URI = (
-    "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/"
-    "Schemata/sarif-schema-2.1.0.json"
-)
-
-
-def render_sarif(
-    new: Sequence[Finding],
-    stale: Sequence[Waiver],
-    waived_count: int,
-) -> Dict[str, Any]:
-    """SARIF 2.1.0 payload (``--format sarif``) for GitHub code scanning.
-
-    One run with the full rule catalogue in ``tool.driver.rules`` (so the
-    code-scanning UI shows each rule's help text), one ``result`` per
-    finding, and one ``note``-level result per stale waiver.  Paths are
-    checkout-relative (``src/repro/...``) like the github format.
-    """
-    rule_codes = sorted(RULES)
-    rules_meta = [
-        {
-            "id": code,
-            "name": RULES[code].name,
-            "shortDescription": {"text": RULES[code].summary},
-            "help": {"text": RULES[code].suggestion},
-            "defaultConfiguration": {"level": "error"},
-        }
-        for code in rule_codes
-    ]
-    rule_index = {code: index for index, code in enumerate(rule_codes)}
-    results: List[Dict[str, Any]] = []
-    for finding in new:
-        results.append({
-            "ruleId": finding.code,
-            "ruleIndex": rule_index[finding.code],
-            "level": "error",
-            "message": {"text": finding.message},
-            "locations": [{
-                "physicalLocation": {
-                    "artifactLocation": {
-                        "uri": _workspace_path(finding.path),
-                        "uriBaseId": "%SRCROOT%",
-                    },
-                    "region": {
-                        "startLine": max(finding.line, 1),
-                        "startColumn": finding.col + 1,
-                    },
-                },
-            }],
-        })
-    for waiver in stale:
-        results.append({
-            "ruleId": waiver.code,
-            "ruleIndex": rule_index.get(waiver.code, -1),
-            "level": "note",
-            "message": {
-                "text": f"stale {waiver.code} waiver — no finding matches "
-                        "any more; delete it from the baseline",
-            },
-            "locations": [{
-                "physicalLocation": {
-                    "artifactLocation": {
-                        "uri": _workspace_path(waiver.path),
-                        "uriBaseId": "%SRCROOT%",
-                    },
-                    "region": {"startLine": max(waiver.line, 1)},
-                },
-            }],
-        })
-    return {
-        "$schema": _SARIF_SCHEMA_URI,
-        "version": SARIF_VERSION,
-        "runs": [{
-            "tool": {
-                "driver": {
-                    "name": "repro.analysis",
-                    "rules": rules_meta,
-                },
-            },
-            "properties": {"waived": waived_count},
-            "results": results,
-        }],
-    }
 
 
 def render_rules() -> str:

@@ -1,19 +1,24 @@
-"""The analysis rule catalogue: determinism, sim-time, fork-safety, API.
+"""The analysis rule catalogue: determinism, sim-time and fork-safety.
 
 Each rule has a stable code, a short kebab-case name used in reports, a
 statement of the invariant it protects, and the approved alternative.  The
-multi-pass framework (:mod:`repro.analysis.scopes` →
-:mod:`repro.analysis.dataflow` → :mod:`repro.analysis.visitor`) decides
+per-file passes (:mod:`repro.analysis.scopes` →
+:mod:`repro.analysis.dataflow` → :mod:`repro.analysis.visitor`) decide
 *where* a rule fires; this module records *what* each rule means and which
 paths are exempt **by design** (the module that owns the invariant is
-allowed to implement it — ``repro.util.rng`` may import ``random``, the
-runner's timing code may read the clock, the artifact helpers may allocate
-shared memory, the analysis tooling may time itself).
+allowed to implement it — ``repro.util.rng`` and the tripwire may import
+``random``, the runner's timing code may read the clock, the artifact
+helpers may allocate shared memory).
 
-Rules with ``only_paths`` fire nowhere else: the FRK fork-safety family is
-scoped to ``repro/runner/``, where code actually crosses process
-boundaries — a module-level registry in single-process simulation code is
-ordinary Python, not a hazard.
+The catalogue holds only what no runtime gate enforces: the comment above
+each rule says why the serial == parallel == sharded digest gates, the
+scalar-oracle parity tests, ``MirrorNodeError`` and the RNG tripwire would
+all pass code that breaks it.
+
+Rules with ``only_paths`` fire nowhere else: FRK001 is scoped to
+``repro/runner/``, where code actually crosses process boundaries — a
+module-level registry in single-process simulation code is ordinary
+Python, not a hazard.
 
 Anything else that needs an exception takes a per-line waiver in the
 baseline file instead, with a one-line justification (see
@@ -22,14 +27,8 @@ baseline file instead, with a one-line justification (see
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from typing import Dict, Tuple
-
-#: Bumped whenever the analysis passes change behaviour; folded into the
-#: incremental cache key so stale cached findings can never survive a rule
-#: change (see :mod:`repro.analysis.cache`).
-ANALYSIS_VERSION = 8
 
 
 def _path_matches_prefix(path: str, prefix: str) -> bool:
@@ -61,12 +60,6 @@ class Rule:
     #: When non-empty, the rule fires *only* under these normalized-path
     #: prefixes (e.g. fork-safety rules are runner-scoped).
     only_paths: Tuple[str, ...] = ()
-    #: Lifecycle of the interface an API rule polices.  ``"active"`` rules
-    #: guard a live invariant; ``"deprecating"`` rules flag a shimmed
-    #: interface mid-removal (the shim's own module is exempt);
-    #: ``"removed"`` rules outlive the interface — the shim is gone, the
-    #: exemptions are gone, and any match is a reintroduction.
-    status: str = "active"
 
     def applies_to(self, path: str) -> bool:
         if any(_path_matches_prefix(path, p) for p in self.exempt_paths):
@@ -97,6 +90,8 @@ class Finding:
 
 _RULE_LIST = [
     # -- DET: determinism -----------------------------------------------------
+    # The tripwire guards only runner cells and shard workers, and only
+    # the paths a run executes.
     Rule(
         code="DET001",
         name="global-rng",
@@ -105,20 +100,22 @@ _RULE_LIST = [
         "child streams with .child(...) where independence is needed",
         exempt_paths=("repro/util/rng.py", "repro/analysis/"),
     ),
+    # No runtime gate: a clock read changes results only on another host.
     Rule(
         code="DET002",
         name="wall-clock",
         summary="wall-clock read inside simulation code",
         suggestion="use kernel.now (simulated time); only the runner's "
-        "timing code and the analysis tooling may read the host clock",
+        "timing code may read the host clock",
         exempt_paths=(
             "repro/runner/engine.py",
-            "repro/analysis/",
             # The sharded coordinator times shard wall-clock for its
             # ShardResults; simulated time still comes from the kernels.
             "repro/sim/sharded/engine.py",
         ),
     ),
+    # Every digest gate compares forked processes, which share
+    # PYTHONHASHSEED, so salted hashes agree in all of them.
     Rule(
         code="DET003",
         name="builtin-hash",
@@ -127,6 +124,8 @@ _RULE_LIST = [
         suggestion="derive seeds/identities with repro.util.rng.derive_seed "
         "or hashlib",
     ),
+    # Forked processes share PYTHONHASHSEED and heap layout, so set order
+    # agrees across every digest gate.
     Rule(
         code="DET004",
         name="unsorted-set-iteration",
@@ -135,6 +134,8 @@ _RULE_LIST = [
         "(membership tests, order-insensitive reducers, and pure bitwise "
         "accumulation are fine)",
     ),
+    # Forked processes share their heap layout, so id() order agrees
+    # across every digest gate.
     Rule(
         code="DET005",
         name="id-ordering",
@@ -147,6 +148,7 @@ _RULE_LIST = [
         # walk (identity, never ordering) — the tooling owns this invariant.
         exempt_paths=("repro/analysis/",),
     ),
+    # No runtime gate.
     Rule(
         code="DET006",
         name="mutable-default",
@@ -155,6 +157,8 @@ _RULE_LIST = [
         suggestion="default to None and construct the container inside the "
         "function body",
     ),
+    # No runtime gate: an environment read changes results only on
+    # another host.
     Rule(
         code="DET007",
         name="environ-read",
@@ -164,6 +168,7 @@ _RULE_LIST = [
         "(scenario/config objects) instead of the environment",
     ),
     # -- SIM: sim-time hygiene ------------------------------------------------
+    # No runtime gate.
     Rule(
         code="SIM001",
         name="host-sleep",
@@ -171,8 +176,9 @@ _RULE_LIST = [
         "thread without advancing simulated time",
         suggestion="schedule with kernel.call_in(delay, fn) or yield "
         "repro.sim.process.sleep(delay) inside a sim process",
-        exempt_paths=("repro/runner/", "repro/analysis/"),
+        exempt_paths=("repro/runner/",),
     ),
+    # No runtime gate; it has caught a real clock-drift bug.
     Rule(
         code="SIM002",
         name="sim-time-accumulation",
@@ -180,18 +186,11 @@ _RULE_LIST = [
         "accumulated rounding drifts from the kernel's exact event clock",
         suggestion="re-read kernel.now where the current instant is needed "
         "instead of integrating deltas by hand",
-        exempt_paths=("repro/runner/", "repro/analysis/"),
-    ),
-    Rule(
-        code="SIM003",
-        name="time-domain-mixing",
-        summary="an expression combines kernel.now-derived sim-time with a "
-        "wall-clock value — the result is meaningless in either domain",
-        suggestion="keep host timing in the runner; simulation code compares "
-        "and subtracts sim-time only",
-        exempt_paths=("repro/runner/", "repro/analysis/"),
+        exempt_paths=("repro/runner/",),
     ),
     # -- FRK: fork/pickle safety in the parallel runner -----------------------
+    # Digest gates compare cell values only: a worker-side registry or
+    # counter that the parent reads still passes them.
     Rule(
         code="FRK001",
         name="fork-shared-module-state",
@@ -203,14 +202,7 @@ _RULE_LIST = [
         exempt_paths=("repro/runner/artifacts.py",),
         only_paths=("repro/runner/",),
     ),
-    Rule(
-        code="FRK002",
-        name="unpicklable-worker-callable",
-        summary="a lambda or nested function is submitted to a process "
-        "pool — it cannot be pickled into a spawned worker",
-        suggestion="submit a module-level function (carry context in a "
-        "picklable Job dataclass, as repro.runner.jobs does)",
-    ),
+    # The segment-hygiene tests sweep only the run-token prefix.
     Rule(
         code="FRK003",
         name="raw-shared-memory",
@@ -222,146 +214,8 @@ _RULE_LIST = [
         "segments under a swept run token",
         exempt_paths=("repro/runner/artifacts.py",),
     ),
-    Rule(
-        code="FRK004",
-        name="mirror-state-mutation",
-        summary="direct mutation of mirror WorldNode state (move_to / "
-        "set_mobility / .mobility / .owner_shard assignment) outside the "
-        "boundary-exchange API — shards would silently diverge from the "
-        "owner's view of the node",
-        suggestion="route mirror changes through repro.sim.sharded.boundary "
-        "(create_mirror / verify_mirror_position / reassign_mirror_owner), "
-        "which mutate inside World.boundary_exchange()",
-        exempt_paths=("repro/sim/sharded/boundary.py",),
-        only_paths=("repro/sim/sharded/",),
-    ),
-    # -- SHD: sharded-engine invariants (whole-program pass) ------------------
-    Rule(
-        code="SHD001",
-        name="mirror-mutation-call-path",
-        summary="a call path from shard code reaches a mirror WorldNode "
-        "mutation (move_to / set_mobility / .mobility / .owner_shard "
-        "assignment) implemented outside the sharded package — the "
-        "interprocedural generalisation of the syntactic FRK004",
-        suggestion="route mirror changes through repro.sim.sharded.boundary "
-        "(create_mirror / verify_mirror_position / reassign_mirror_owner); "
-        "the finding prints the call chain down to the mutation site",
-        exempt_paths=("repro/sim/sharded/boundary.py",),
-        only_paths=("repro/sim/sharded/",),
-    ),
-    Rule(
-        code="SHD002",
-        name="horizon-unbounded-schedule",
-        summary="an event is scheduled (kernel.call_at / call_in) with a "
-        "time or delay not provably bounded by the horizon window — it can "
-        "land past the max_displacement lookahead barrier, where neighbor "
-        "shards have already advanced",
-        suggestion="guard the fire time against the window end before "
-        "scheduling (the shard.schedule_window idiom: "
-        "`if t0 <= fire_at < t1: kernel.call_at(fire_at, ...)`)",
-        # The engine module owns the window grid: the serial reference has
-        # no horizon and the coordinator drives the barriers themselves.
-        exempt_paths=("repro/sim/sharded/engine.py",),
-        only_paths=("repro/sim/sharded/",),
-    ),
-    Rule(
-        code="SHD003",
-        name="unpicklable-shard-capture",
-        summary="an object handed to a shard worker process is an instance "
-        "of a class that is transitively unpicklable (a lambda, lock, open "
-        "file, or another unpicklable instance lives in its attributes)",
-        suggestion="ship only primitives and frozen spec dataclasses across "
-        "the shard boundary and rebuild heavyweight state inside the "
-        "worker, as ShardRuntime does from ScenarioSpec",
-        only_paths=("repro/sim/sharded/",),
-    ),
-    Rule(
-        code="SHD004",
-        name="unordered-merge-feed",
-        summary="iteration over a dict (keys/values/items) feeds an ordered "
-        "accumulator in sharded code — per-shard insertion order differs, "
-        "so the canonical record merge would see a shard-dependent stream",
-        suggestion="iterate `sorted(mapping)` (or sort the accumulated "
-        "records before they reach the merge), as the horizon protocol "
-        "does everywhere",
-        only_paths=("repro/sim/sharded/",),
-    ),
-    # -- VEC: numpy bit-parity on delivery-log-reaching paths -----------------
-    Rule(
-        code="VEC001",
-        name="banned-ufunc-on-parity-path",
-        summary="a numpy ufunc that is not correctly rounded (np.hypot / "
-        "np.log10 / np.power / np.exp) or math.fsum is called on a "
-        "parity-sensitive path — its floats can reach a delivery log, "
-        "where the scalar reference would produce different bits",
-        suggestion="stick to the admissible primitives (+ - * /, np.sqrt, "
-        "stable argsort) or keep a scalar math-module loop, as "
-        "repro.phy.propagation.LogDistance does; the finding prints the "
-        "call chain from the delivery-log root down to the ufunc",
-        # The analysis tooling may name the banned ufuncs in the strings
-        # and fixtures it builds.
-        exempt_paths=("repro/analysis/",),
-    ),
-    Rule(
-        code="VEC004",
-        name="bulk-rng-draw-on-delivery-path",
-        summary="a bulk RNG draw (rng.random(n) / np.random.* / size=) or "
-        "a draw inside unordered iteration happens on a parity-sensitive "
-        "path — the RNG draw-order contract requires exactly one uniform "
-        "per 0<p<1 candidate in ascending attach order",
-        suggestion="draw scalars in candidate order (the "
-        "`np.fromiter((rng.random() for _ in ...))` idiom in "
-        "Medium._delivery_mask); never draw a vector or draw while "
-        "iterating a set",
-        exempt_paths=("repro/analysis/",),
-    ),
-    Rule(
-        code="VEC005",
-        name="order-sensitive-reduction-on-parity-path",
-        summary="an order-sensitive numpy reduction (np.sum / np.dot / "
-        "np.prod / np.matmul ... — pairwise summation) feeds "
-        "parity-sensitive floats; the sequential scalar reference "
-        "accumulates in a different association order, so the bits differ",
-        suggestion="accumulate with a sequential loop / builtin sum(), or "
-        "restructure so the reduction's result never reaches a delivery "
-        "log",
-        exempt_paths=("repro/analysis/",),
-    ),
-    # -- API: in-repo deprecated interfaces -----------------------------------
-    Rule(
-        code="API001",
-        name="removed-average-ma",
-        summary="EnergyMeter.average_ma(since_time, since_charge_mas) — the "
-        "two-float window form was removed after its deprecation cycle "
-        "(average_ma is keyword-only: since=snapshot, floor_ma=...)",
-        suggestion="take snapshot = meter.snapshot() and call "
-        "meter.average_ma(since=snapshot, floor_ma=...)",
-        status="removed",
-    ),
-    Rule(
-        code="API002",
-        name="removed-cellresult-alias",
-        summary="repro.experiments CellResult — the removed alias of "
-        "Table4Cell (the name belongs to repro.runner.CellResult)",
-        suggestion="import Table4Cell for the Table-4 measurement, or "
-        "repro.runner.CellResult for the runner's cell envelope",
-        status="removed",
-    ),
 ]
 
 #: code -> rule, in catalogue order.
 RULES: Dict[str, Rule] = {rule.code: rule for rule in _RULE_LIST}
 
-
-def _ruleset_digest() -> str:
-    payload = repr((ANALYSIS_VERSION, sorted(
-        (r.code, r.name, r.summary, r.suggestion, r.exempt_paths,
-         r.only_paths, r.status)
-        for r in _RULE_LIST
-    )))
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
-
-
-#: Cache key component: changes whenever the catalogue or ANALYSIS_VERSION
-#: does, so `.repro-analysis-cache/` entries from an older ruleset miss.
-RULESET_VERSION = f"{ANALYSIS_VERSION}:{_ruleset_digest()}"

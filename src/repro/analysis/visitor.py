@@ -6,12 +6,12 @@ Analysis of one module is three passes:
    symbol table per module/class/function/lambda/comprehension scope with
    every binding site recorded;
 2. :mod:`repro.analysis.dataflow` interprets those bindings — which symbols
-   are set-typed *in their own scope*, which values carry sim-time vs
-   wall-clock, which sets are pure dedup accumulators, which callables
-   cannot cross a pickle boundary;
+   are set-typed *in their own scope*, which values carry sim-time, which
+   sets are pure dedup accumulators, which module state a function
+   mutates;
 3. :class:`AnalysisVisitor` (this module) walks the tree with a scope stack
    and emits :class:`~repro.analysis.rules.Finding` objects for the DET,
-   SIM, FRK, and API rule families.
+   SIM, and FRK rule families.
 
 Scope-accuracy is the point: a ``List[int]`` parameter that shares a name
 with a set in another function is a list here, shadowing works, and the
@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import ast
 from pathlib import Path
-from typing import Iterable, List, Optional, Sequence, Set
+from typing import Iterable, List, Sequence, Set
 
 from repro.analysis import dataflow
 from repro.analysis.rules import RULES, Finding
@@ -69,23 +69,6 @@ _ORDER_INSENSITIVE_CALLS = {
 #: Ordering-sensitive materialisers of an iterable (DET004 sinks).
 _ORDER_SENSITIVE_CALLS = {"list", "tuple", "enumerate"}
 
-#: WorldNode methods whose call counts as mirror-state mutation (FRK004;
-#: the rule is path-scoped to repro/sim/sharded/, where every node is
-#: owned-or-mirrored and mutation belongs to the boundary module).
-_MIRROR_MUTATING_METHODS = {"move_to", "set_mobility"}
-
-#: WorldNode attributes whose assignment counts the same way.
-_MIRROR_GUARDED_ATTRS = {"mobility", "owner_shard"}
-
-#: ImportFrom modules whose ``CellResult`` was the removed alias (API002).
-_DEPRECATED_CELLRESULT_MODULES = {
-    "repro.experiments",
-    "repro.experiments.controlled",
-    "experiments",
-    "experiments.controlled",
-    "controlled",
-}
-
 
 def normalize_path(path) -> str:
     """A stable posix path key, rooted at the ``repro`` package when inside it.
@@ -104,27 +87,6 @@ def normalize_path(path) -> str:
         return resolved.relative_to(Path.cwd()).as_posix()
     except ValueError:
         return resolved.as_posix()
-
-
-def _dotted_name(node: ast.AST) -> Optional[str]:
-    """``a.b.c`` for a Name/Attribute chain, else None."""
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
-
-
-def _call_name(node: ast.Call) -> Optional[str]:
-    """The trailing identifier of the called object (``sorted``, ``list``)."""
-    if isinstance(node.func, ast.Name):
-        return node.func.id
-    if isinstance(node.func, ast.Attribute):
-        return node.func.attr
-    return None
 
 
 class AnalysisVisitor(ast.NodeVisitor):
@@ -208,21 +170,12 @@ class AnalysisVisitor(ast.NodeVisitor):
                 "import of numpy.random (global RNG state); "
                 "use repro.util.rng.SeededRng",
             )
-        if module in _DEPRECATED_CELLRESULT_MODULES and any(
-            alias.name == "CellResult" for alias in node.names
-        ):
-            self._emit(
-                "API002", node,
-                f"import of the removed CellResult alias from {module!r}; "
-                "use Table4Cell (or repro.runner.CellResult for the "
-                "runner envelope)",
-            )
         self.generic_visit(node)
 
     # -- call-shaped rules ----------------------------------------------------
 
     def visit_Call(self, node: ast.Call) -> None:
-        dotted = _dotted_name(node.func)
+        dotted = dataflow.dotted_name(node.func)
         if dotted is not None:
             if dotted.startswith("random.") or ".random." in f".{dotted}.":
                 root = dotted.split(".", 1)[0]
@@ -291,36 +244,11 @@ class AnalysisVisitor(ast.NodeVisitor):
                     f"{node.func.id}() materialises a set in arbitrary "
                     "order; use sorted(...)",
                 )
-        if isinstance(node.func, ast.Attribute):
-            if node.func.attr == "average_ma" and self._is_deprecated_average_ma(node):
-                self._emit(
-                    "API001", node,
-                    "removed two-float average_ma(since_time, "
-                    "since_charge_mas); use "
-                    "average_ma(since=snapshot, floor_ma=...)",
-                )
-            if node.func.attr in _MIRROR_MUTATING_METHODS:
-                self._emit(
-                    "FRK004", node,
-                    f".{node.func.attr}() mutates WorldNode state directly; "
-                    "sharded code must route mirror changes through "
-                    "repro.sim.sharded.boundary",
-                )
-        captured = dataflow.unpicklable_worker_callable(node, self.scope)
-        if captured is not None:
-            kind = ("lambda" if isinstance(captured, ast.Lambda)
-                    else "nested function")
-            self._emit(
-                "FRK002", node,
-                f"{kind} handed to a process-pool submission API cannot be "
-                "pickled into a spawned worker; submit a module-level "
-                "callable",
-            )
         mutated = dataflow.mutates_module_state(
             node, self.scope, self.module_mutables)
         if mutated is not None:
             self._emit_frk001(node, mutated)
-        call_name = _call_name(node)
+        call_name = dataflow.call_name(node)
         if call_name in _ORDER_INSENSITIVE_CALLS:
             self._reducer_depth += 1
             self.generic_visit(node)
@@ -334,13 +262,6 @@ class AnalysisVisitor(ast.NodeVisitor):
             return False
         return resolved[1].import_origin == "time.sleep"
 
-    @staticmethod
-    def _is_deprecated_average_ma(node: ast.Call) -> bool:
-        if len(node.args) >= 2:
-            return True
-        keywords = {keyword.arg for keyword in node.keywords}
-        return bool(keywords & {"since_time", "since_charge_mas"})
-
     def _emit_frk001(self, node: ast.AST, name: str) -> None:
         self._emit(
             "FRK001", node,
@@ -349,26 +270,16 @@ class AnalysisVisitor(ast.NodeVisitor):
             "state on Job/engine objects",
         )
 
-    # -- DET007 / API002: attribute reads -------------------------------------
+    # -- DET007: attribute reads ----------------------------------------------
 
     def visit_Attribute(self, node: ast.Attribute) -> None:
-        dotted = _dotted_name(node)
+        dotted = dataflow.dotted_name(node)
         if dotted == "os.environ":
             self._emit(
                 "DET007", node,
                 "os.environ read makes results depend on the host "
                 "environment; pass configuration explicitly",
             )
-        if dotted is not None and node.attr == "CellResult":
-            base = dotted.rsplit(".", 1)[0]
-            if base in _DEPRECATED_CELLRESULT_MODULES or base.endswith(
-                (".experiments", ".controlled")
-            ):
-                self._emit(
-                    "API002", node,
-                    f"{dotted} is the removed alias of Table4Cell; "
-                    "use Table4Cell (or repro.runner.CellResult)",
-                )
         self.generic_visit(node)
 
     # -- FRK001: module-state mutation sinks ----------------------------------
@@ -378,8 +289,6 @@ class AnalysisVisitor(ast.NodeVisitor):
             node, self.scope, self.module_mutables)
         if mutated is not None:
             self._emit_frk001(node, mutated)
-        for target in node.targets:
-            self._check_mirror_attribute(target)
         self.generic_visit(node)
 
     def visit_AugAssign(self, node: ast.AugAssign) -> None:
@@ -387,48 +296,6 @@ class AnalysisVisitor(ast.NodeVisitor):
             node, self.scope, self.module_mutables)
         if mutated is not None:
             self._emit_frk001(node, mutated)
-        self._check_mirror_attribute(node.target)
-        self.generic_visit(node)
-
-    # -- FRK004: mirror-state mutation outside the boundary API ---------------
-
-    def _check_mirror_attribute(self, target: ast.AST) -> None:
-        """Flag ``<node>.mobility = ...`` / ``<node>.owner_shard = ...``.
-
-        The rule is scoped to ``repro/sim/sharded/`` (minus the boundary
-        module itself), where these attributes belong to owned-or-mirrored
-        :class:`WorldNode`\\ s and must only change inside
-        ``World.boundary_exchange()``.
-        """
-        if (isinstance(target, ast.Attribute)
-                and target.attr in _MIRROR_GUARDED_ATTRS):
-            self._emit(
-                "FRK004", target,
-                f"assignment to .{target.attr} bypasses the boundary-"
-                "exchange API; use repro.sim.sharded.boundary "
-                "(reassign_mirror_owner / create_mirror)",
-            )
-
-    # -- SIM003: time-domain mixing -------------------------------------------
-
-    def _check_domain_mixing(self, node: ast.AST,
-                             sides: Sequence[ast.AST]) -> None:
-        domains = {dataflow.expr_time_domain(side, self.scope)
-                   for side in sides}
-        if dataflow.SIM_TIME in domains and dataflow.WALL_CLOCK in domains:
-            self._emit(
-                "SIM003", node,
-                "expression mixes kernel.now-derived sim-time with a "
-                "wall-clock value; keep host timing in the runner",
-            )
-
-    def visit_BinOp(self, node: ast.BinOp) -> None:
-        if isinstance(node.op, (ast.Add, ast.Sub)):
-            self._check_domain_mixing(node, (node.left, node.right))
-        self.generic_visit(node)
-
-    def visit_Compare(self, node: ast.Compare) -> None:
-        self._check_domain_mixing(node, [node.left] + list(node.comparators))
         self.generic_visit(node)
 
     # -- DET006: mutable defaults + scope entry -------------------------------
@@ -451,7 +318,7 @@ class AnalysisVisitor(ast.NodeVisitor):
                              ast.ListComp, ast.DictComp, ast.SetComp)):
             return True
         return (isinstance(node, ast.Call)
-                and _call_name(node) in _MUTABLE_CONSTRUCTORS)
+                and dataflow.call_name(node) in _MUTABLE_CONSTRUCTORS)
 
     def _visit_function(self, node) -> None:
         self._check_defaults(node)
@@ -496,7 +363,7 @@ class AnalysisVisitor(ast.NodeVisitor):
         if isinstance(node, (ast.Set, ast.SetComp)):
             return True
         if isinstance(node, ast.Call):
-            return _call_name(node) in {"set", "frozenset"}
+            return dataflow.call_name(node) in {"set", "frozenset"}
         if isinstance(node, ast.BinOp) and isinstance(
             node.op, (ast.BitOr, ast.BitAnd, ast.Sub, ast.BitXor)
         ):
@@ -584,9 +451,7 @@ def iter_python_files(root) -> Iterable[Path]:
 def analyze_paths(paths: Sequence) -> List[Finding]:
     """Lint files/trees; findings sorted by (path, line, col, code).
 
-    Serial and uncached — the CLI goes through
-    :func:`repro.analysis.cache.analyze_paths_incremental` for the cached,
-    parallel version; both produce byte-identical findings.
+    The one entry point: the CLI and the clean-tree test both call it.
     """
     findings: List[Finding] = []
     for path in paths:

@@ -156,8 +156,7 @@ class EnergyMeter:
 
         The old two-float form ``average_ma(since_time, since_charge_mas)``
         completed its deprecation cycle and was removed; the keyword-only
-        signature makes any straggler a ``TypeError``, and the API001 lint
-        rule (now "removed" status) errors on reintroduction anywhere.
+        signature makes any straggler a ``TypeError``.
         """
         elapsed = self.kernel.now - since.time
         if elapsed <= 0:

@@ -85,17 +85,6 @@ _EPOCH_CELL_FRACTION = 0.5
 _SPEED_PROBE_S = 1.0
 
 
-class _Bucket:
-    """One grid cell's contents as parallel arrays (items, x, y)."""
-
-    __slots__ = ("items", "xs", "ys")
-
-    def __init__(self) -> None:
-        self.items: List[Hashable] = []
-        self.xs: List[float] = []
-        self.ys: List[float] = []
-
-
 class UniformGridIndex:
     """Buckets items by position into ``cell_size``-sized square cells.
 
@@ -108,9 +97,8 @@ class UniformGridIndex:
         if cell_size <= 0.0:
             raise ValueError(f"cell_size must be > 0, got {cell_size}")
         self.cell_size = cell_size
-        # Struct-of-arrays buckets: items plus their exact coordinates in
-        # parallel lists (see position_of).
-        self._cells: Dict[_Cell, _Bucket] = {}
+        # Each cell's items in insertion order (the query candidate order).
+        self._cells: Dict[_Cell, List[Hashable]] = {}
         self._where: Dict[Hashable, Optional[_Cell]] = {}
         # The roaming set as a list (query order) plus an item → slot map, so
         # removal is O(1) swap-pop instead of an O(n) list.remove scan —
@@ -146,12 +134,7 @@ class UniformGridIndex:
             return
         cell = self._cell_of(position)
         self._where[item] = cell
-        bucket = self._cells.get(cell)
-        if bucket is None:
-            bucket = self._cells[cell] = _Bucket()
-        bucket.items.append(item)
-        bucket.xs.append(position.x)
-        bucket.ys.append(position.y)
+        self._cells.setdefault(cell, []).append(item)
 
     def insert_batch(
         self,
@@ -178,10 +161,8 @@ class UniformGridIndex:
             where[item] = cell
             bucket = cells.get(cell)
             if bucket is None:
-                bucket = cells[cell] = _Bucket()
-            bucket.items.append(item)
-            bucket.xs.append(xs[index])
-            bucket.ys.append(ys[index])
+                bucket = cells[cell] = []
+            bucket.append(item)
 
     def remove(self, item: Hashable) -> None:
         """Remove ``item``; raises ``KeyError`` if absent."""
@@ -194,13 +175,10 @@ class UniformGridIndex:
                 self._roaming_slot[last] = slot
             return
         bucket = self._cells[cell]
-        index = bucket.items.index(item)
-        # Order-preserving removal (matching the old list.remove) keeps
-        # query candidate order a pure function of the mutation sequence.
-        del bucket.items[index]
-        del bucket.xs[index]
-        del bucket.ys[index]
-        if not bucket.items:
+        # Order-preserving removal keeps query candidate order a pure
+        # function of the mutation sequence.
+        bucket.remove(item)
+        if not bucket:
             del self._cells[cell]
 
     def update(self, item: Hashable, position: Optional[Position]) -> None:
@@ -208,24 +186,9 @@ class UniformGridIndex:
         old_cell = self._where[item]
         new_cell = None if position is None else self._cell_of(position)
         if old_cell == new_cell and old_cell is not None:
-            # Same bucket: no rewiring, but the stored coordinates must
-            # track the exact new position.
-            bucket = self._cells[old_cell]
-            index = bucket.items.index(item)
-            bucket.xs[index] = position.x
-            bucket.ys[index] = position.y
-            return
+            return  # same bucket: nothing to rewire
         self.remove(item)
         self.insert(item, position)
-
-    def position_of(self, item: Hashable) -> Optional[Position]:
-        """The stored position of a bucketed ``item`` (None when roaming)."""
-        cell = self._where[item]
-        if cell is None:
-            return None
-        bucket = self._cells[cell]
-        index = bucket.items.index(item)
-        return Position(bucket.xs[index], bucket.ys[index])
 
     def query(
         self, origin: Position, radius: float, now: float = 0.0
@@ -245,7 +208,7 @@ class UniformGridIndex:
             for cy in range(y_lo, y_hi + 1):
                 bucket = cells.get((cx, cy))
                 if bucket is not None:
-                    candidates.extend(bucket.items)
+                    candidates.extend(bucket)
         return candidates
 
     def _cell_span(

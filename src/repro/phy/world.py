@@ -5,8 +5,8 @@ kinds of node: *owned* nodes it simulates, and *mirror* nodes — read-only
 replicas of nodes owned by a neighboring shard, present so halo-band
 transmissions resolve receivers locally.  Mirror state may only change
 inside the shard boundary-exchange API (:meth:`World.boundary_exchange`);
-mutating a mirror anywhere else raises :class:`MirrorNodeError`, the
-runtime twin of the FRK004 lint rule.
+mutating a mirror anywhere else raises :class:`MirrorNodeError`, which
+every sharded run exercises.
 """
 
 from __future__ import annotations
@@ -163,8 +163,8 @@ class World:
         """Context that authorizes mirror-node mutation.
 
         Only the shard boundary-exchange code (applying a neighbor's
-        horizon packet) should enter this; it is the runtime counterpart
-        of the FRK004 lint rule.
+        horizon packet) should enter this; a mirror mutation outside it
+        raises :class:`MirrorNodeError`.
         """
         previous = self._in_boundary_exchange
         self._in_boundary_exchange = True

@@ -115,13 +115,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="skip writing the timing report",
     )
     parser.add_argument(
-        "--no-tripwire",
-        action="store_true",
-        help="do not arm the global-RNG tripwire around cells (see "
-        "repro.analysis.tripwire; on by default so drivers touching "
-        "random/numpy global state fail loudly)",
-    )
-    parser.add_argument(
         "--list",
         action="store_true",
         help="list experiments and their cells, then exit",
@@ -204,7 +197,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         serial=args.serial,
         start_method=args.start_method,
         compare_serial=args.compare_serial,
-        tripwire=not args.no_tripwire,
         attach_trace=args.attach_trace,
         attach_energy_timeline=args.attach_energy_timeline,
         use_shared_memory=not args.no_shared_memory,

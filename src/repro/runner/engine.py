@@ -126,24 +126,21 @@ class RunReport:
 
 
 def _timed_run(
-    work_item: Tuple[int, Job, bool, Optional[str]],
+    work_item: Tuple[int, Job, Optional[str]],
 ) -> Tuple[int, CellResult, float]:
     """Worker entry point: run one job, report (index, cell result, wall).
 
-    With the tripwire armed, a driver that touches process-global RNG state
-    (``random.*`` / ``numpy.random.*``) fails its cell with a
-    :class:`repro.analysis.tripwire.GlobalRngError` naming the call site,
-    instead of silently degrading cross-process determinism.
+    The job runs under the global-RNG tripwire: a driver that touches
+    process-global RNG state (``random.*`` / ``numpy.random.*``) fails its
+    cell with a :class:`repro.analysis.tripwire.GlobalRngError` naming the
+    call site, instead of silently degrading cross-process determinism.
 
     ``scope`` names this job's shared-memory segments; ``None`` keeps any
     artifacts inline on the queue (serial mode, or shared memory disabled).
     """
-    index, job, tripwire, scope = work_item
+    index, job, scope = work_item
     start = time.perf_counter()
-    if tripwire:
-        with rng_tripwire(label=f"{job.experiment}:{job.cell}"):
-            cell = job.run()
-    else:
+    with rng_tripwire(label=f"{job.experiment}:{job.cell}"):
         cell = job.run()
     if scope is not None:
         cell = artifact_transport.export_cell_artifacts(cell, scope)
@@ -165,7 +162,6 @@ def execute_jobs(
     workers: Optional[int] = None,
     serial: bool = False,
     start_method: Optional[str] = None,
-    tripwire: bool = True,
     use_shared_memory: bool = True,
 ) -> Tuple[List[CellResult], float, Optional[str]]:
     """Run ``jobs``; return (declaration-ordered cell results, wall, method).
@@ -183,7 +179,7 @@ def execute_jobs(
     if not serial and use_shared_memory and artifact_transport.shared_memory_available():
         token = artifact_transport.make_run_token()
     work = [
-        (index, job, tripwire, None if token is None else f"{token}j{index:x}")
+        (index, job, None if token is None else f"{token}j{index:x}")
         for index, job in enumerate(jobs)
     ]
     if serial or not jobs:
@@ -220,7 +216,6 @@ def run_experiment(
     serial: bool = False,
     start_method: Optional[str] = None,
     compare_serial: bool = False,
-    tripwire: bool = True,
     attach_trace: bool = False,
     attach_energy_timeline: bool = False,
     use_shared_memory: bool = True,
@@ -235,7 +230,7 @@ def run_experiment(
     ``compare_serial=True`` additionally replays the grid serially, records
     the parallel-vs-serial wall-clock ratio, and verifies that every cell's
     result digest and artifact digests match between the two modes.  Every
-    cell runs under the global-RNG tripwire unless ``tripwire=False``.
+    cell runs under the global-RNG tripwire.
 
     ``attach_trace=`` / ``attach_energy_timeline=`` opt the artifact-capable
     drivers (see :data:`repro.runner.jobs.ATTACH_CAPABLE`) into returning
@@ -252,7 +247,7 @@ def run_experiment(
         ))
     outcomes, total_wall, method = execute_jobs(
         jobs, workers=workers, serial=serial, start_method=start_method,
-        tripwire=tripwire, use_shared_memory=use_shared_memory,
+        use_shared_memory=use_shared_memory,
     )
     report = RunReport(
         experiment=experiment,
@@ -263,8 +258,7 @@ def run_experiment(
         outcomes=outcomes,
     )
     if compare_serial and not serial:
-        replay, serial_wall, _ = execute_jobs(jobs, serial=True,
-                                              tripwire=tripwire)
+        replay, serial_wall, _ = execute_jobs(jobs, serial=True)
         report.serial_wall_s = serial_wall
         report.digest_mismatches = [
             f"parallel[{parallel_cell.digest_line()}] != "

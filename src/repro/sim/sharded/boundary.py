@@ -10,8 +10,8 @@ exchanged at every horizon over the shared-memory artifact transport:
   distance)`` — streamed to the coordinator for the canonical merge.
 
 This module is also the *only* place mirror :class:`WorldNode` state may
-change (rule FRK004; :class:`~repro.phy.world.MirrorNodeError` at
-runtime): every mutation here runs inside
+change (:class:`~repro.phy.world.MirrorNodeError` fires anywhere else):
+every mutation here runs inside
 :meth:`~repro.phy.world.World.boundary_exchange`.
 
 Advert application double-checks the protocol: the sender ships the

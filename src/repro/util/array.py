@@ -13,7 +13,8 @@ use SIMD kernels):
   rounded and **identical** to the ``math`` module scalar-by-scalar.
 * ``np.hypot``, ``np.log10``, ``np.power`` are **not** bit-identical to
   ``math.hypot`` / ``math.log10`` / ``math.pow`` and are banned from any
-  path whose floats can reach a delivery log (lint rule VEC001).  This is
+  path whose floats can reach a delivery log (the scalar-oracle parity
+  tests catch any that slips in).  This is
   why :meth:`repro.phy.geometry.Position.distance_to` is written as
   ``sqrt(dx*dx + dy*dy)`` (reproducible by a vector kernel) rather than
   ``hypot`` (not), and why :class:`repro.phy.propagation.LogDistance`

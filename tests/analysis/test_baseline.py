@@ -4,8 +4,13 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import Baseline, BaselineError, analyze_file, normalize_path
-from repro.analysis.baseline import Waiver, format_baseline
+from repro.analysis.baseline import (
+    Baseline,
+    BaselineError,
+    Waiver,
+    format_baseline,
+)
+from repro.analysis.visitor import analyze_file, normalize_path
 
 FIXTURES = Path(__file__).parent / "fixtures"
 

@@ -10,14 +10,14 @@ dedup-set recognition, and the budget stops them creeping back.
 
 from pathlib import Path
 
-from repro.analysis import AnalysisCache, Baseline, analyze_paths
-from repro.analysis.cache import analyze_paths_incremental
+from repro.analysis.baseline import Baseline
+from repro.analysis.visitor import analyze_paths
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 BASELINE = REPO_ROOT / "DETERMINISM_BASELINE.txt"
 TREE = REPO_ROOT / "src" / "repro"
 
-#: The waiver-shrink workflow's ceiling (ISSUE 4): fixes must outnumber
+#: The waiver-shrink workflow's ceiling: fixes must outnumber
 #: accepted findings from here on.
 MAX_WAIVERS = 2
 
@@ -47,16 +47,3 @@ def test_checked_in_waivers_carry_real_justifications():
         assert waiver.justification
         assert not waiver.justification.startswith("TODO"), waiver.render()
 
-
-def test_serial_parallel_and_cache_warm_findings_are_identical(tmp_path):
-    serial = analyze_paths([TREE])
-    cache = AnalysisCache(tmp_path / "cache")
-    cold, cold_stats = analyze_paths_incremental([TREE], jobs=1, cache=cache)
-    warm, warm_stats = analyze_paths_incremental([TREE], jobs=1, cache=cache)
-    parallel, _ = analyze_paths_incremental([TREE], jobs=2, cache=None)
-    assert cold == serial
-    assert warm == serial
-    assert parallel == serial
-    assert cold_stats.cached == 0
-    assert warm_stats.cached == warm_stats.files == cold_stats.files
-    assert warm_stats.analyzed == 0

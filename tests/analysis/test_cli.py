@@ -1,7 +1,5 @@
 """The `python -m repro.analysis` command line: exit codes and baseline IO."""
 
-import json
-
 import pytest
 
 from repro.analysis.cli import (
@@ -18,8 +16,8 @@ CLEAN_SOURCE = "def seed_for(name):\n    return len(name)\n"
 
 @pytest.fixture(autouse=True)
 def _isolated_cwd(tmp_path, monkeypatch):
-    # The default cache dir is CWD-relative; keep test runs from leaving
-    # .repro-analysis-cache/ droppings in the repo checkout.
+    # The default baseline is CWD-relative; keep test runs from reading or
+    # writing the repo checkout's DETERMINISM_BASELINE.txt.
     monkeypatch.chdir(tmp_path)
 
 
@@ -68,61 +66,6 @@ def test_malformed_baseline_reports_distinct_exit(bad_file, tmp_path, capsys):
     assert "justification" in capsys.readouterr().err
 
 
-def test_json_format(bad_file, tmp_path, capsys):
-    code = main([str(bad_file), "--baseline", str(tmp_path / "none.txt"),
-                 "--format", "json"])
-    payload = json.loads(capsys.readouterr().out)
-    assert code == EXIT_FINDINGS
-    assert payload["clean"] is False
-    assert payload["findings"][0]["code"] == "DET003"
-    assert payload["findings"][0]["line"] == 2
-
-
-def test_sarif_format_is_valid_and_lists_the_catalogue(bad_file, tmp_path,
-                                                       capsys):
-    from repro.analysis import RULES
-
-    code = main([str(bad_file), "--baseline", str(tmp_path / "none.txt"),
-                 "--format", "sarif"])
-    payload = json.loads(capsys.readouterr().out)
-    assert code == EXIT_FINDINGS
-    assert payload["version"] == "2.1.0"
-    run = payload["runs"][0]
-    driver = run["tool"]["driver"]
-    assert driver["name"] == "repro.analysis"
-    assert {rule["id"] for rule in driver["rules"]} == set(RULES)
-    result = run["results"][0]
-    assert result["ruleId"] == "DET003"
-    assert result["level"] == "error"
-    location = result["locations"][0]["physicalLocation"]
-    assert location["region"]["startLine"] == 2
-    assert location["artifactLocation"]["uri"].endswith("bad.py")
-
-
-def test_sarif_format_clean_tree_has_empty_results(tmp_path, capsys):
-    clean = tmp_path / "clean.py"
-    clean.write_text(CLEAN_SOURCE, encoding="utf-8")
-    code = main([str(clean), "--baseline", str(tmp_path / "none.txt"),
-                 "--format", "sarif"])
-    payload = json.loads(capsys.readouterr().out)
-    assert code == EXIT_CLEAN
-    assert payload["runs"][0]["results"] == []
-
-
-def test_sarif_format_marks_stale_waivers_as_notes(bad_file, tmp_path, capsys):
-    baseline = tmp_path / "baseline.txt"
-    main([str(bad_file), "--baseline", str(baseline), "--write-baseline"])
-    bad_file.write_text(CLEAN_SOURCE, encoding="utf-8")
-    capsys.readouterr()
-    code = main([str(bad_file), "--baseline", str(baseline),
-                 "--allow-stale", "--format", "sarif"])
-    payload = json.loads(capsys.readouterr().out)
-    assert code == EXIT_CLEAN
-    notes = [r for r in payload["runs"][0]["results"]
-             if r["level"] == "note"]
-    assert len(notes) == 1
-
-
 def test_github_format_emits_workflow_annotations(bad_file, tmp_path, capsys):
     code = main([str(bad_file), "--baseline", str(tmp_path / "none.txt"),
                  "--format", "github"])
@@ -142,37 +85,6 @@ def test_github_format_clean_tree_prints_verdict(tmp_path, capsys):
     assert code == EXIT_CLEAN
     assert "::error" not in out
     assert "clean" in out
-
-
-def test_cache_warm_second_run_hits_and_is_identical(bad_file, tmp_path, capsys):
-    cache_dir = tmp_path / "cache"
-    argv = [str(bad_file), "--baseline", str(tmp_path / "none.txt"),
-            "--cache-dir", str(cache_dir)]
-    assert main(argv) == EXIT_FINDINGS
-    cold = capsys.readouterr()
-    assert main(argv) == EXIT_FINDINGS
-    warm = capsys.readouterr()
-    assert warm.out == cold.out          # findings byte-identical
-    assert "0 hit(s)" in cold.err
-    assert "1 hit(s)" in warm.err
-    assert cache_dir.is_dir()
-
-
-def test_no_cache_never_writes_the_cache_dir(bad_file, tmp_path):
-    cache_dir = tmp_path / "cache"
-    main([str(bad_file), "--baseline", str(tmp_path / "none.txt"),
-          "--no-cache", "--cache-dir", str(cache_dir)])
-    assert not cache_dir.exists()
-
-
-def test_jobs_zero_means_cpu_count_and_matches_serial(bad_file, tmp_path, capsys):
-    argv = [str(bad_file), "--baseline", str(tmp_path / "none.txt"),
-            "--no-cache"]
-    main(argv + ["--jobs", "1"])
-    serial = capsys.readouterr().out
-    main(argv + ["--jobs", "0"])
-    parallel = capsys.readouterr().out
-    assert parallel == serial
 
 
 def test_list_rules(capsys):

@@ -2,7 +2,6 @@
 
 import ast
 
-from repro.analysis import build_scopes
 from repro.analysis.dataflow import (
     SIM_TIME,
     WALL_CLOCK,
@@ -14,9 +13,9 @@ from repro.analysis.dataflow import (
     is_commutative_accumulation_loop,
     sim_time_accumulations,
     symbol_types,
-    unpicklable_worker_callable,
     walk_scope_body,
 )
+from repro.analysis.scopes import build_scopes
 
 
 def built(source):
@@ -182,34 +181,3 @@ def test_dedup_suppression_requires_membership_only_and_sort():
     function_node = tree.body[0]
     assert not dedup_suppressed_id_calls(
         function_node, builder.scopes[function_node])
-
-
-# -- FRK002 helper ------------------------------------------------------------
-
-
-def test_unpicklable_worker_callable():
-    source = (
-        "def run(pool):\n"
-        "    def local_job():\n"
-        "        pass\n"
-        "    handler = lambda: None\n"
-        "    pool.submit(local_job)\n"
-        "    pool.submit(lambda: 1)\n"
-        "    pool.submit(handler)\n"
-        "    pool.submit(module_job)\n"
-    )
-    tree, builder = built(source)
-    function_node = tree.body[0]
-    function = builder.scopes[function_node]
-    calls = sorted(
-        (n for n in walk_scope_body(function_node)
-         if isinstance(n, ast.Call)
-         and isinstance(n.func, ast.Attribute)
-         and n.func.attr == "submit"),
-        key=lambda n: n.lineno,
-    )
-    flagged = [unpicklable_worker_callable(c, function) for c in calls]
-    assert flagged[0] is not None   # nested function
-    assert flagged[1] is not None   # inline lambda
-    assert flagged[2] is not None   # lambda-assigned name
-    assert flagged[3] is None       # unresolved (module-level elsewhere)

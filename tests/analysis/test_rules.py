@@ -1,14 +1,15 @@
 """One test per rule against a tiny intentionally-bad fixture.
 
 Each test asserts the *exact* findings — code and line — so rule drift
-(new false positives, silently lost coverage) fails loudly.  The FRK
-fixtures live under ``fixtures/repro/runner/`` because the fork-safety
-family is scoped to runner paths (``Rule.only_paths``).
+(new false positives, silently lost coverage) fails loudly.  The FRK001
+fixture lives under ``fixtures/repro/runner/`` because that rule is
+scoped to runner paths (``Rule.only_paths``).
 """
 
 from pathlib import Path
 
-from repro.analysis import RULES, analyze_file, analyze_source
+from repro.analysis.rules import RULES
+from repro.analysis.visitor import analyze_file, analyze_source
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -88,16 +89,6 @@ def test_epoch_rebucket_idiom_is_clean():
     assert analyze_file(FIXTURES / "epoch_rebucket_clean.py") == []
 
 
-def test_sim003_domain_mixing_fixture():
-    findings = analyze_file(FIXTURES / "sim003_domain_mixing.py")
-    assert keys(findings) == [
-        ("DET002", 7),   # time.time() — the wall read itself
-        ("SIM003", 8),   # kernel.now - wall
-        ("DET002", 12),  # time.monotonic()
-        ("SIM003", 13),  # kernel.now > wall_deadline
-    ]
-
-
 def test_frk001_module_state_fixture():
     findings = analyze_file(
         FIXTURES / "repro" / "runner" / "frk001_module_state.py")
@@ -112,16 +103,6 @@ def test_frk001_module_state_fixture():
     assert not analyze_source(source, "repro/apps/example.py")
 
 
-def test_frk002_worker_capture_fixture():
-    findings = analyze_file(FIXTURES / "frk002_worker_capture.py")
-    assert keys(findings) == [
-        ("FRK002", 14),  # pool.submit(nested function)
-        ("FRK002", 15),  # pool.submit(lambda)
-        ("FRK002", 16),  # Process(target=lambda)
-    ]
-    # Submitting the module-level run_job (line 17) stays clean.
-
-
 def test_frk003_shared_memory_fixture():
     findings = analyze_file(FIXTURES / "frk003_shared_memory.py")
     assert keys(findings) == [("FRK003", 7)]
@@ -129,66 +110,10 @@ def test_frk003_shared_memory_fixture():
     assert not analyze_source(source, "repro/runner/artifacts.py")
 
 
-def test_frk004_mirror_mutation_fixture():
-    fixture = FIXTURES / "repro" / "sim" / "sharded" / "frk004_mirror_mutation.py"
-    findings = analyze_file(fixture)
-    assert keys(findings) == [
-        ("FRK004", 5),   # node.move_to(position)
-        ("FRK004", 6),   # node.set_mobility(model)
-        ("FRK004", 7),   # node.owner_shard = 2
-        ("FRK004", 8),   # node.mobility = model
-    ]
-    source = fixture.read_text(encoding="utf-8")
-    # The boundary module owns the invariant and may mutate directly.
-    assert not analyze_source(source, "repro/sim/sharded/boundary.py")
-    # Outside the sharded package these are ordinary attribute writes.
-    assert not analyze_source(source, "repro/phy/world.py")
-
-
-def test_api001_average_ma_fixture():
-    findings = analyze_file(FIXTURES / "api001_average_ma.py")
-    assert keys(findings) == [
-        ("API001", 5),   # two positional floats
-        ("API001", 6),   # since_time=/since_charge_mas= keywords
-    ]
-    # The snapshot form on line 9 stays clean.
-
-
-def test_api002_cellresult_fixture():
-    findings = analyze_file(FIXTURES / "api002_cellresult.py")
-    assert keys(findings) == [
-        ("API002", 3),   # from repro.experiments import CellResult
-        ("API002", 4),   # from repro.experiments.controlled import ...
-        ("API002", 9),   # controlled.CellResult attribute
-    ]
-    # repro.runner.artifacts.CellResult (line 5) is the real one — clean.
-
-
-def test_api001_api002_retired_rules_fire_everywhere():
-    # The deprecation cycle completed: the former shim modules lost their
-    # exemptions, so reintroducing either interface anywhere — including
-    # the modules that used to host the shims — is a lint error.
-    call = "def f(meter):\n    return meter.average_ma(0.0, 0.0)\n"
-    assert analyze_source(call, "repro/energy/meter.py")
-    alias = "from repro.experiments import CellResult\n"
-    assert analyze_source(alias, "repro/experiments/__init__.py")
-    from repro.analysis.rules import RULES
-
-    assert RULES["API001"].status == "removed"
-    assert RULES["API002"].status == "removed"
-
-
 def test_every_rule_has_a_fixture_exercising_it():
-    from repro.analysis import analyze_project
-
     codes = set()
     for fixture in FIXTURES.rglob("*.py"):
         codes.update(f.code for f in analyze_file(fixture))
-    # Interprocedural rules only fire in the whole-program pass; the SHD
-    # fixtures resolve against the fixture tree root and the xmod tree
-    # resolves against itself.
-    codes.update(f.code for f in analyze_project([FIXTURES]))
-    codes.update(f.code for f in analyze_project([FIXTURES / "xmod"]))
     assert codes == set(RULES)
 
 

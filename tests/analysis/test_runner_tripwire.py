@@ -2,12 +2,18 @@
 
 A driver that touches process-global RNG state must fail its cell with a
 clear error naming the offending call site; clean drivers run unchanged.
+Runtime code loads the tripwire alone, never the lint framework.
 """
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.analysis.tripwire import GlobalRngError
 from repro.runner.engine import execute_jobs
 from repro.runner.jobs import Job
@@ -46,8 +52,16 @@ def test_clean_cell_passes_with_tripwire_armed():
     assert outcomes[0].value == SeededRng(3).random()
 
 
-def test_tripwire_escape_hatch():
-    outcomes, _, _ = execute_jobs(
-        [_job(_dirty_driver, "dirty")], serial=True, tripwire=False
+def test_runtime_imports_load_only_the_tripwire():
+    # A fresh interpreter: this test process has imported the lint already.
+    probe = (
+        "import sys\n"
+        "import repro.runner.engine, repro.sim.sharded\n"
+        "print(sorted(m for m in sys.modules "
+        "if m.startswith('repro.analysis.')))\n"
     )
-    assert isinstance(outcomes[0].value, float)
+    env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+    result = subprocess.run([sys.executable, "-c", probe], env=env,
+                            capture_output=True, text=True, check=True,
+                            timeout=60)
+    assert result.stdout.strip() == "['repro.analysis.tripwire']"

@@ -8,8 +8,8 @@ passes rely on.
 
 import ast
 
-from repro.analysis import analyze_source, build_scopes
-from repro.analysis.scopes import Scope
+from repro.analysis.scopes import Scope, build_scopes
+from repro.analysis.visitor import analyze_source
 
 
 def scopes_of(source):

@@ -1,8 +1,9 @@
-"""Shared fixtures for the test suite."""
+"""Shared fixtures for the test suite, and its one Hypothesis profile."""
 
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.net.mesh import MeshNetwork
 from repro.phy.geometry import Position
@@ -13,6 +14,12 @@ from repro.radio.medium import Medium
 from repro.radio.nfc import NfcRadio
 from repro.radio.wifi import WifiRadio
 from repro.sim.kernel import Kernel
+
+# Every run draws the same examples (seeded from a hash of each test) and
+# never reads the example database, so a property test cannot flake: a
+# failure fails every run until fixed.  Pin a new find with @example.
+settings.register_profile("derandomized", derandomize=True)
+settings.load_profile("derandomized")
 
 
 @pytest.fixture

@@ -172,5 +172,3 @@ def test_insert_batch_equals_sequential_inserts(seed):
         for radius in (15.0, 60.0, 200.0):
             assert (batched.query(origin, radius, 0.0)
                     == loop.query(origin, radius, 0.0))
-    for item, x, y in zip(items, xs, ys):
-        assert batched.position_of(item) == Position(x, y)

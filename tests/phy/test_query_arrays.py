@@ -1,10 +1,8 @@
-"""The uniform grid's struct-of-arrays buckets under seeded churn.
+"""The uniform grid's buckets under seeded churn.
 
-Each bucket keeps its items' exact coordinates in parallel arrays; after
-any insert, remove, same-cell or cross-cell move, ``position_of`` must
-report exactly the last stored floats, and ``query`` must still return
-every item within the radius (plus every roaming item).  Churn is driven
-by a seeded RNG so failures replay.
+After any insert, remove, same-cell or cross-cell move, ``query`` must
+still return every item within the radius (plus every roaming item).
+Churn is driven by a seeded RNG so failures replay.
 """
 
 from __future__ import annotations
@@ -44,7 +42,7 @@ def test_uniform_grid_arrays_track_churn(seed, steps):
             item = rng.choice(sorted(positions))
             old = positions[item]
             if old is not None and rng.uniform(0.0, 1.0) < 0.5:
-                # Same-cell nudge: the stored coordinates must still track.
+                # Same-cell nudge: the item must stay in its bucket.
                 p = Position(
                     (old.x // 10.0) * 10.0 + rng.uniform(0.1, 9.9),
                     (old.y // 10.0) * 10.0 + rng.uniform(0.1, 9.9),
@@ -57,16 +55,6 @@ def test_uniform_grid_arrays_track_churn(seed, steps):
         radius = rng.uniform(5.0, 40.0)
         candidates = set(index.query(origin, radius))
         for item, stored in positions.items():
-            assert index.position_of(item) == stored
             if stored is None or origin.distance_to(stored) <= radius:
                 assert item in candidates
 
-
-def test_uniform_grid_position_of_reports_stored_coordinates():
-    index = UniformGridIndex(cell_size=10.0)
-    index.insert("s", Position(3.0, 4.0))
-    index.insert("r", None)
-    assert index.position_of("s") == Position(3.0, 4.0)
-    assert index.position_of("r") is None
-    index.update("s", Position(3.5, 4.5))  # same cell: stored floats move
-    assert index.position_of("s") == Position(3.5, 4.5)

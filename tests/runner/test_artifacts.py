@@ -232,7 +232,7 @@ def test_dead_worker_leaves_no_segments(monkeypatch):
     doomed = Job(experiment="selftest", cell="die", fn=_leak_and_die,
                  args=(f"{token}j0a0",))
     with pytest.raises((BrokenProcessPool, OSError)):
-        execute_jobs([doomed], workers=1, tripwire=False)
+        execute_jobs([doomed], workers=1)
     # The engine's finally-sweep ran despite the broken pool: nothing with
     # this run's prefix survives in /dev/shm.
     leftovers = [name for name in os.listdir("/dev/shm")

@@ -1,8 +1,9 @@
 """End-to-end digest equality: serial vs sharded, inline vs processes.
 
 The serial run on the production medium must also match the serial run
-on the scalar reference medium, and a shard worker that dies mid-run must
-fail the run at once.
+on the scalar reference medium, shard workers must match it under the
+spawn start method too, and a shard worker that dies mid-run must fail
+the run at once.
 """
 
 import multiprocessing
@@ -94,6 +95,16 @@ def test_dead_shard_worker_fails_fast_without_leaking_segments(monkeypatch):
 
 def test_process_sharded_inline_artifacts_match_serial(serial_outcome):
     outcome = run_sharded(SPEC, 2, processes=True, use_shared_memory=False)
+    assert outcome.digest == serial_outcome.digest
+
+
+def test_spawned_shard_workers_match_serial(serial_outcome, monkeypatch):
+    # Shard workers fork wherever fork exists, so only this test runs the
+    # spawn fallback, which pickles every argument a worker is given.
+    monkeypatch.setattr(engine, "_mp_context",
+                        lambda: multiprocessing.get_context("spawn"))
+    outcome = run_sharded(SPEC, 2, processes=True)
+    assert outcome.mode == "sharded-processes"
     assert outcome.digest == serial_outcome.digest
 
 
