@@ -6,14 +6,14 @@ linear scan, position lookup, distance, delivery roll, acceptance check,
 one kernel event per receiver — with four batch stages: a cached struct-packed candidate gather
 (**query**), one distances-probabilities-rolls array pass
 (**probability**), one ``accepts_mask`` call per concrete radio class
-(**acceptance**), and a single pooled ``_BatchDelivery`` event per
+(**acceptance**), and a single ``_BatchDelivery`` event per
 transmission whose side effects run in attach order (**delivery**).
 
 This bench runs the 2k-node mixed-mobility scenario (Static +
 RandomWaypoint + Linear + WaypointPath, the ``ScenarioSpec`` recipe) and
 times the pipeline **end to end**: each round's advertise loop *plus*
 the kernel drain that executes that round's deliveries — so event
-scheduling, pooling, and the delivery-time re-check are all inside the
+scheduling and the delivery-time re-check are both inside the
 measured window, not just the synchronous broadcast half.
 
 A separate instrumented run (``StageTimedMedium`` below, wrapping the

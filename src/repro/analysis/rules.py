@@ -7,8 +7,7 @@ per-file passes (:mod:`repro.analysis.scopes` →
 *where* a rule fires; this module records *what* each rule means and which
 paths are exempt **by design** (the module that owns the invariant is
 allowed to implement it — ``repro.util.rng`` and the tripwire may import
-``random``, the runner's timing code may read the clock, the artifact
-helpers may allocate shared memory).
+``random``, the runner's timing code may read the clock).
 
 The catalogue holds only what no runtime gate enforces: the comment above
 each rule says why the serial == parallel == sharded digest gates, the
@@ -198,21 +197,8 @@ _RULE_LIST = [
         "functions — each forked/spawned worker mutates its own copy, "
         "silently diverging from the parent",
         suggestion="keep per-run state on Job/engine objects that cross the "
-        "pool explicitly, or derive it from the run token",
-        exempt_paths=("repro/runner/artifacts.py",),
+        "pool explicitly",
         only_paths=("repro/runner/",),
-    ),
-    # The segment-hygiene tests sweep only the run-token prefix.
-    Rule(
-        code="FRK003",
-        name="raw-shared-memory",
-        summary="SharedMemory segment created outside the run-scoped "
-        "artifact helpers — it escapes the runner's prefix sweep and can "
-        "leak on worker death",
-        suggestion="move artifact bytes with repro.runner.artifacts "
-        "(export_cell_artifacts / fetch_cell_artifacts), which name "
-        "segments under a swept run token",
-        exempt_paths=("repro/runner/artifacts.py",),
     ),
 ]
 

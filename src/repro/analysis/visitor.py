@@ -205,13 +205,6 @@ class AnalysisVisitor(ast.NodeVisitor):
                     "simulated time; use kernel.call_in or a sim-process "
                     "sleep",
                 )
-            if dotted == "SharedMemory" or dotted.endswith(".SharedMemory"):
-                self._emit(
-                    "FRK003", node,
-                    "raw SharedMemory segment escapes the runner's "
-                    "run-scoped prefix sweep; go through "
-                    "repro.runner.artifacts",
-                )
         if isinstance(node.func, ast.Name):
             if node.func.id == "hash" and node.args:
                 self._emit(

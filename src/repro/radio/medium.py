@@ -28,7 +28,7 @@ A broadcast runs in four batch stages, each a separately overridable seam:
    mask order is free and only the delivery side effects below are
    order-sensitive.
 4. **delivery** — all of a transmission's arrivals are scheduled as a
-   single pooled :class:`_BatchDelivery` event whose delivery-time
+   single :class:`_BatchDelivery` event whose delivery-time
    re-check is the same acceptance mask, with ``_deliver`` side effects
    running in ascending attach order over it.
 
@@ -90,7 +90,7 @@ class _MIXED:
 
 
 class _BatchDelivery:
-    """All of one broadcast's arrivals as a single pooled scheduled event.
+    """All of one broadcast's arrivals as a single scheduled event.
 
     The broadcast schedules one kernel event per transmission instead of
     one per receiver.  Arrival semantics are those of per-receiver events:
@@ -98,11 +98,7 @@ class _BatchDelivery:
     acceptance mask per batch — and ``_deliver`` side effects run in
     ascending attach order, exactly the order per-receiver events
     (scheduled back-to-back, hence contiguous in the kernel's
-    same-timestamp FIFO) would run in.  Shells recycle through
-    ``Medium._batch_pool``: on firing, the payload moves to locals, the
-    slots are cleared, and the shell returns to the pool *before* the
-    delivery side effects run — kernel events are one-shot, so a nested
-    broadcast inside ``_deliver`` may safely repopulate the shell.
+    same-timestamp FIFO) would run in.
     """
 
     __slots__ = ("medium", "receivers", "frame", "distances", "accept_version")
@@ -119,17 +115,8 @@ class _BatchDelivery:
         self.accept_version = accept_version
 
     def __call__(self) -> None:
-        medium = self.medium
-        receivers = self.receivers
-        frame = self.frame
-        distances = self.distances
-        accept_version = self.accept_version
-        self.receivers = None
-        self.frame = None
-        self.distances = None
-        medium._batch_pool.append(self)
-        medium._execute_batch_delivery(receivers, frame, distances,
-                                       accept_version)
+        self.medium._execute_batch_delivery(self.receivers, self.frame,
+                                            self.distances, self.accept_version)
 
 
 class _CellBatch:
@@ -202,9 +189,6 @@ class Medium:
         # cell-binned for the batch gather — see _kind_arrays.  Shares
         # the batch cache's (timestamp, version) validity.
         self._stamp_arrays: Dict[RadioKind, tuple] = {}
-        # Recycled delivery-event shells (see _BatchDelivery): bounded by
-        # the peak number of in-flight transmissions.
-        self._batch_pool: List[_BatchDelivery] = []
         # Whether any attached radio is a halo mirror: lets the batch
         # delivery loop skip the per-receiver is_mirror test entirely in
         # unsharded runs (the overwhelming majority).
@@ -628,7 +612,7 @@ class Medium:
                 mask[pos] = bool(hit)
         return mask
 
-    # -- delivery stage (pooled events + their execution seams) ---------------
+    # -- delivery stage (batch events + their execution seams) ----------------
 
     def _schedule_batch(
         self,
@@ -638,18 +622,11 @@ class Medium:
         delay: float,
         accept_version: int = -1,
     ) -> None:
-        """Schedule one broadcast's arrivals as a single pooled batch event."""
-        pool = self._batch_pool
-        if pool:
-            event = pool.pop()
-            event.receivers = receivers
-            event.frame = frame
-            event.distances = distances
-            event.accept_version = accept_version
-        else:
-            event = _BatchDelivery(self, receivers, frame, distances,
-                                   accept_version)
-        self.kernel.call_in(delay, event)
+        """Schedule one broadcast's arrivals as a single batch event."""
+        self.kernel.call_in(
+            delay,
+            _BatchDelivery(self, receivers, frame, distances, accept_version),
+        )
 
     def _execute_batch_delivery(
         self, receivers: List[Radio], frame: Frame, distances: List[float],

@@ -8,10 +8,9 @@ its own seed, parallel and serial runs are field-for-field identical.
 
 Each finished cell is a structured :class:`CellResult` (experiment, cell,
 seed, the driver's scalar result, attached artifacts, wall-clock).  Large
-opt-in artifacts — per-tick traces, energy timelines — cross from worker to
-parent via ``multiprocessing.shared_memory`` with only a handle on the pool
-queue (:mod:`repro.runner.artifacts`), falling back to inline bytes where
-shared memory is unavailable.
+opt-in artifacts — per-tick traces, energy timelines — travel from worker
+to parent as canonical encoded bytes inside that result, on the pool's
+pipe (:mod:`repro.runner.artifacts`).
 
 Entry points:
 
@@ -23,7 +22,6 @@ Entry points:
 from repro.runner.artifacts import (
     Artifact,
     ArtifactError,
-    ArtifactHandle,
     AttachedResult,
     CellResult,
     attach,
@@ -35,7 +33,6 @@ __all__ = [
     "ATTACH_CAPABLE",
     "Artifact",
     "ArtifactError",
-    "ArtifactHandle",
     "AttachedResult",
     "CellResult",
     "EXPERIMENTS",

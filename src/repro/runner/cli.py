@@ -97,13 +97,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "digest is shard-count invariant, so --compare-serial still gates",
     )
     parser.add_argument(
-        "--no-shared-memory",
-        action="store_true",
-        help="keep artifacts inline on the pool result queue instead of "
-        "moving them through shared-memory segments (identical results; "
-        "the fallback used automatically where shared memory is missing)",
-    )
-    parser.add_argument(
         "--bench-out",
         default="BENCH_runner.json",
         metavar="PATH",
@@ -141,7 +134,7 @@ def _artifact_summary(outcome) -> str:
     if not outcome.artifacts:
         return ""
     parts = [
-        f"{key}={artifact.length}B/{artifact.transport}"
+        f"{key}={artifact.length}B"
         for key, artifact in outcome.artifacts.items()
     ]
     return "  " + ",".join(parts)
@@ -199,7 +192,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         compare_serial=args.compare_serial,
         attach_trace=args.attach_trace,
         attach_energy_timeline=args.attach_energy_timeline,
-        use_shared_memory=not args.no_shared_memory,
         shards=args.shards,
     )
     _print_report(report, args.quiet)

@@ -6,12 +6,9 @@ Worker processes are forked where the platform allows it: the parent has
 already imported the simulator, so a forked worker starts hot instead of
 re-importing ~160 modules per process.
 
-Results travel on two planes (see :mod:`repro.runner.artifacts`): the
-structured :class:`CellResult` always crosses the pool's pickle queue, while
-large opt-in artifacts cross via named shared-memory segments with only a
-handle on the queue.  The parent fetches (verify digest, copy, unlink) each
-cell's artifacts as its result arrives and sweeps the run's segment-name
-prefix afterwards, so even a worker that dies mid-cell leaks nothing.
+Each worker returns its :class:`CellResult` — attached artifact bytes
+included (see :mod:`repro.runner.artifacts`) — through the pool's pickle
+pipe, the same way whether a run is serial or parallel.
 """
 
 from __future__ import annotations
@@ -23,15 +20,14 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.tripwire import guard as rng_tripwire
-from repro.runner import artifacts as artifact_transport
 from repro.util import array
 from repro.runner.artifacts import CellResult
 from repro.runner.jobs import Job, jobs_for
 
 #: JSON schema tag for BENCH_runner.json, bumped on layout changes.
-#: (Artifact metadata, digest_match, and the array_backend/numpy_version
-#: pair are additive optional keys of v1.)
-BENCH_SCHEMA = "repro.runner/bench.v1"
+#: (v2 dropped the per-artifact "transport" key; artifact metadata,
+#: digest_match, and the array_backend/numpy_version pair are optional.)
+BENCH_SCHEMA = "repro.runner/bench.v2"
 
 
 @dataclass
@@ -107,11 +103,7 @@ class RunReport:
             }
             if outcome.artifacts:
                 cell["artifacts"] = {
-                    key: {
-                        "bytes": artifact.length,
-                        "digest": artifact.digest,
-                        "transport": artifact.transport,
-                    }
+                    key: {"bytes": artifact.length, "digest": artifact.digest}
                     for key, artifact in outcome.artifacts.items()
                 }
             payload["cells"].append(cell)
@@ -125,25 +117,18 @@ class RunReport:
         return payload
 
 
-def _timed_run(
-    work_item: Tuple[int, Job, Optional[str]],
-) -> Tuple[int, CellResult, float]:
+def _timed_run(work_item: Tuple[int, Job]) -> Tuple[int, CellResult, float]:
     """Worker entry point: run one job, report (index, cell result, wall).
 
     The job runs under the global-RNG tripwire: a driver that touches
     process-global RNG state (``random.*`` / ``numpy.random.*``) fails its
     cell with a :class:`repro.analysis.tripwire.GlobalRngError` naming the
     call site, instead of silently degrading cross-process determinism.
-
-    ``scope`` names this job's shared-memory segments; ``None`` keeps any
-    artifacts inline on the queue (serial mode, or shared memory disabled).
     """
-    index, job, scope = work_item
+    index, job = work_item
     start = time.perf_counter()
     with rng_tripwire(label=f"{job.experiment}:{job.cell}"):
         cell = job.run()
-    if scope is not None:
-        cell = artifact_transport.export_cell_artifacts(cell, scope)
     return index, cell, time.perf_counter() - start
 
 
@@ -162,26 +147,16 @@ def execute_jobs(
     workers: Optional[int] = None,
     serial: bool = False,
     start_method: Optional[str] = None,
-    use_shared_memory: bool = True,
 ) -> Tuple[List[CellResult], float, Optional[str]]:
     """Run ``jobs``; return (declaration-ordered cell results, wall, method).
 
-    Parallel runs move artifacts through shared memory when the platform
-    provides it (and ``use_shared_memory`` is left on); otherwise — and
-    always in serial mode — artifacts stay inline with identical behaviour
-    and digests.  The run's segment prefix is swept afterwards even if the
-    pool breaks, so dead workers cannot leak segments.
+    A worker that dies mid-cell breaks the pool, which surfaces here as
+    :class:`concurrent.futures.process.BrokenProcessPool`.
     """
     start = time.perf_counter()
     method: Optional[str] = None
     slots: List[Optional[Tuple[CellResult, float]]] = [None] * len(jobs)
-    token: Optional[str] = None
-    if not serial and use_shared_memory and artifact_transport.shared_memory_available():
-        token = artifact_transport.make_run_token()
-    work = [
-        (index, job, None if token is None else f"{token}j{index:x}")
-        for index, job in enumerate(jobs)
-    ]
+    work = list(enumerate(jobs))
     if serial or not jobs:
         for item in work:
             index, cell, wall = _timed_run(item)
@@ -190,17 +165,10 @@ def execute_jobs(
         method = _pick_start_method(start_method)
         context = multiprocessing.get_context(method)
         pool_size = workers or context.cpu_count()
-        try:
-            with ProcessPoolExecutor(max_workers=pool_size,
-                                     mp_context=context) as pool:
-                for index, cell, wall in pool.map(_timed_run, work, chunksize=1):
-                    # Fetch as results arrive: verifies the digest, copies the
-                    # bytes into this process, and unlinks the segment.
-                    artifact_transport.fetch_cell_artifacts(cell)
-                    slots[index] = (cell, wall)
-        finally:
-            if token is not None:
-                artifact_transport.sweep_segments(token)
+        with ProcessPoolExecutor(max_workers=pool_size,
+                                 mp_context=context) as pool:
+            for index, cell, wall in pool.map(_timed_run, work, chunksize=1):
+                slots[index] = (cell, wall)
     outcomes: List[CellResult] = []
     for index in range(len(jobs)):
         cell, wall = slots[index]
@@ -218,7 +186,6 @@ def run_experiment(
     compare_serial: bool = False,
     attach_trace: bool = False,
     attach_energy_timeline: bool = False,
-    use_shared_memory: bool = True,
     shards: Optional[int] = None,
 ) -> RunReport:
     """Run one experiment grid (or "all") across ``seeds``.
@@ -246,9 +213,7 @@ def run_experiment(
             shards=shards,
         ))
     outcomes, total_wall, method = execute_jobs(
-        jobs, workers=workers, serial=serial, start_method=start_method,
-        use_shared_memory=use_shared_memory,
-    )
+        jobs, workers=workers, serial=serial, start_method=start_method)
     report = RunReport(
         experiment=experiment,
         seeds=seed_list,

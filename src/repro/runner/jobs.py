@@ -51,8 +51,7 @@ class Job:
         """Execute the cell in-process; return its structured result.
 
         Bare driver returns become artifact-less cell results; drivers that
-        attached payloads come back with them encoded (inline — the engine
-        decides per run whether they move to shared memory).
+        attached payloads come back with them encoded as artifacts.
         """
         raw = self.fn(*self.args, **self.kwargs)
         return CellResult.from_raw(self.experiment, self.cell, self.seed, raw)

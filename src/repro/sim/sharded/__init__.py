@@ -7,8 +7,8 @@ Between horizons a shard runs independently: any node whose worst-case
 displacement (via
 :meth:`~repro.phy.mobility.MobilityModel.max_displacement`) cannot reach a
 neighboring shard's halo cannot affect it before the next sync point.
-Halo-band nodes are exchanged as struct-packed boundary messages over the
-shared-memory artifact transport, and cross-shard deliveries merge in a
+Halo-band nodes are exchanged as struct-packed boundary messages, plain
+bytes on each worker's pipe, and cross-shard deliveries merge in a
 canonical (time, sender, receiver) order, so the delivery log of a
 sharded run is byte-identical to a serial run of the same scenario.
 """

@@ -1,7 +1,7 @@
 """The shard boundary-exchange API: packed messages + mirror mutation.
 
 Boundary traffic between shards is three kinds of struct-packed message,
-exchanged at every horizon over the shared-memory artifact transport:
+exchanged at every horizon as plain bytes through the coordinator:
 
 - **advert**: "node ``index`` (owned by ``owner``) starts this window at
   ``(x, y)`` inside your halo" — the receiving shard mirrors the node.

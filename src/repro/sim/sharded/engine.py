@@ -3,20 +3,20 @@
 The entry points are :func:`run_serial` (the reference: one kernel, one
 world, every node) and :func:`run_sharded` (N :class:`ShardRuntime`\\ s
 advancing in lockstep between integer horizons).  Sharded execution has
-two transports with identical semantics:
+two modes with identical semantics:
 
 - **inline** — all runtimes in this process, boundary messages still
   round-tripped through the struct codecs.  Used for correctness tests,
   on 1-core boxes, and automatically inside daemonic pool workers (which
   may not fork grandchildren).
 - **processes** — one forked worker per shard, star topology: at every
-  horizon each worker sends its boundary packet and staged delivery
-  records to the coordinator (large blobs ride the PR 3 shared-memory
-  artifact transport), which routes per-destination inboxes back.
+  horizon each worker sends its packed boundary blobs and staged delivery
+  records to the coordinator as plain bytes over its pipe, and the
+  coordinator routes per-destination inboxes back unchanged.
 
-Whatever the transport, records merge in canonical (time, sender,
-receiver) order and digest identically to the serial reference — that
-equality is asserted by the tier-1 suite and checkable from the CLI via
+Whatever the mode, records merge in canonical (time, sender, receiver)
+order and digest identically to the serial reference — that equality is
+asserted by the tier-1 suite and checkable from the CLI via
 ``--compare-serial``.
 """
 
@@ -68,7 +68,6 @@ class ShardResult:
     frames_delivered: int
     frames_dropped: int
     frames_cross_shard: int
-    record_count: int
     wall_s: float
 
 
@@ -165,7 +164,7 @@ def run_serial(spec: ScenarioSpec) -> SimOutcome:
 # -- sharded: shared plumbing ------------------------------------------------
 
 
-def _shard_result(runtime: ShardRuntime, record_count: int, wall_s: float) -> ShardResult:
+def _shard_result(runtime: ShardRuntime, wall_s: float) -> ShardResult:
     medium = runtime.medium
     return ShardResult(
         shard_index=runtime.shard_index,
@@ -179,7 +178,6 @@ def _shard_result(runtime: ShardRuntime, record_count: int, wall_s: float) -> Sh
         frames_delivered=medium.frames_delivered,
         frames_dropped=medium.frames_dropped,
         frames_cross_shard=medium.frames_cross_shard,
-        record_count=record_count,
         wall_s=wall_s,
     )
 
@@ -221,7 +219,7 @@ def _route_inboxes(
     """Turn per-source outbound maps into per-destination ordered inboxes.
 
     Inboxes list blobs in source-shard order, so every shard applies the
-    same merged inbound regardless of transport or arrival timing.
+    same merged inbound regardless of mode or arrival timing.
     """
     return [
         [outbound[src][dst] for src in range(shards) if dst in outbound[src]]
@@ -233,7 +231,6 @@ def run_sharded(
     spec: ScenarioSpec,
     shards: int,
     processes: Optional[bool] = None,
-    use_shared_memory: bool = True,
 ) -> SimOutcome:
     """Run the scenario across ``shards`` spatial partitions.
 
@@ -247,11 +244,11 @@ def run_sharded(
     if processes is None:
         processes = shards > 1 and not multiprocessing.current_process().daemon
     if processes:
-        return _run_sharded_processes(spec, shards, use_shared_memory)
+        return _run_sharded_processes(spec, shards)
     return _run_sharded_inline(spec, shards)
 
 
-# -- sharded: inline transport -----------------------------------------------
+# -- sharded: inline mode ----------------------------------------------------
 
 
 def _run_sharded_inline(spec: ScenarioSpec, shards: int) -> SimOutcome:
@@ -288,22 +285,9 @@ def _run_sharded_inline(spec: ScenarioSpec, shards: int) -> SimOutcome:
             walls[runtime.shard_index] += time.perf_counter() - tick
         t0 = t1
     shard_results = []
-    per_shard_counts = [0] * shards
     for runtime in runtimes:
-        staged = runtime.take_records()
-        records.extend(staged)
-        per_shard_counts[runtime.shard_index] = len(staged)
-    # Frame counters only settle after every shard's final window, so the
-    # per-shard record counts above are the *tail* staging; the canonical
-    # count lives in the merged outcome.
-    for runtime in runtimes:
-        shard_results.append(
-            _shard_result(
-                runtime,
-                per_shard_counts[runtime.shard_index],
-                walls[runtime.shard_index],
-            )
-        )
+        records.extend(runtime.take_records())
+        shard_results.append(_shard_result(runtime, walls[runtime.shard_index]))
     return _merge_outcome(
         "sharded-inline",
         shards,
@@ -313,37 +297,11 @@ def _run_sharded_inline(spec: ScenarioSpec, shards: int) -> SimOutcome:
     )
 
 
-# -- sharded: process transport ----------------------------------------------
-
-
-def _transport() -> Any:
-    """The PR 3 shared-memory artifact transport, imported on first use.
-
-    Lazy because the runner package imports the experiment grids (which
-    import this engine): binding ``repro.runner.artifacts`` at module
-    import time would close that cycle.  Only process mode pays the hop.
-    """
-    from repro.runner import artifacts
-
-    return artifacts
-
-
-def _blob_artifact(
-    key: str, blob: bytes, use_shared_memory: bool, segment: str
-) -> Any:
-    artifact = _transport().Artifact(key, data=blob)
-    if use_shared_memory:
-        artifact = artifact.to_shared(segment)
-    return artifact
+# -- sharded: process mode ---------------------------------------------------
 
 
 def _shard_worker(
-    spec: ScenarioSpec,
-    shards: int,
-    shard_index: int,
-    conn: Any,
-    use_shared_memory: bool,
-    token: str,
+    spec: ScenarioSpec, shards: int, shard_index: int, conn: Any
 ) -> None:
     """One shard's process body: horizon loop against the coordinator."""
     # Arm the global-RNG tripwire for this shard unless the process already
@@ -360,21 +318,11 @@ def _shard_worker(
         for k, t1 in enumerate(spec.window_ends()):
             adverts, handoffs = runtime.horizon_packet(t0, t1)
             outbound = {
-                dst: _blob_artifact(
-                    f"boundary.w{k}.s{shard_index}.d{dst}",
-                    pack_boundary(adverts.get(dst, []), handoffs.get(dst, [])),
-                    use_shared_memory,
-                    f"{token}w{k}s{shard_index}d{dst}",
-                )
+                dst: pack_boundary(adverts.get(dst, []), handoffs.get(dst, []))
                 for dst in sorted(set(adverts) | set(handoffs))
             }
-            records_artifact = _blob_artifact(
-                f"records.w{k}.s{shard_index}",
-                pack_records(runtime.take_records()),
-                use_shared_memory,
-                f"{token}r{k}s{shard_index}",
-            )
-            conn.send(("sync", k, outbound, records_artifact))
+            records_blob = pack_records(runtime.take_records())
+            conn.send(("sync", k, outbound, records_blob))
             message = conn.recv()
             if message[0] != "go" or message[1] != k:
                 raise BoundaryProtocolError(
@@ -382,25 +330,19 @@ def _shard_worker(
                 )
             adverts_in: List[Advert] = []
             handoffs_in: List[int] = []
-            for artifact in message[2]:
-                blob_adverts, blob_handoffs = unpack_boundary(artifact.bytes())
+            for blob in message[2]:
+                blob_adverts, blob_handoffs = unpack_boundary(blob)
                 adverts_in.extend(blob_adverts)
                 handoffs_in.extend(blob_handoffs)
             runtime.apply_inbound(t0, handoffs_in, adverts_in)
             runtime.schedule_window(t0, t1)
             runtime.run_window(t1)
             t0 = t1
-        tail = runtime.take_records()
-        tail_artifact = _blob_artifact(
-            f"records.tail.s{shard_index}",
-            pack_records(tail),
-            use_shared_memory,
-            f"{token}tail{shard_index}",
-        )
-        result = _shard_result(runtime, len(tail), time.perf_counter() - started)
+        tail = pack_records(runtime.take_records())
+        result = _shard_result(runtime, time.perf_counter() - started)
         if armed is not None:
             armed.verify()  # direct-reference RNG use drifts the snapshot
-        conn.send(("done", result, tail_artifact))
+        conn.send(("done", result, tail))
     except BaseException as error:  # surfaced in the coordinator
         import traceback
 
@@ -445,18 +387,14 @@ def _recv(conn: Any, worker: Any, shard_index: int) -> Tuple[Any, ...]:
     return message
 
 
-def _run_sharded_processes(
-    spec: ScenarioSpec, shards: int, use_shared_memory: bool
-) -> SimOutcome:
+def _run_sharded_processes(spec: ScenarioSpec, shards: int) -> SimOutcome:
     started = time.perf_counter()
     context = _mp_context()
-    transport = _transport()
-    token = transport.make_run_token()
     pipes = [context.Pipe(duplex=True) for _ in range(shards)]
     workers = [
         context.Process(
             target=_shard_worker,
-            args=(spec, shards, index, child, use_shared_memory, token),
+            args=(spec, shards, index, child),
             name=f"shard-{index}",
         )
         for index, (_, child) in enumerate(pipes)
@@ -471,25 +409,25 @@ def _run_sharded_processes(
         for k in range(len(spec.window_ends())):
             messages = []
             for index, (parent, _) in enumerate(pipes):
-                tag, kk, outbound, records_artifact = _recv(
+                tag, kk, outbound, records_blob = _recv(
                     parent, workers[index], index
                 )
                 if tag != "sync" or kk != k:
                     raise BoundaryProtocolError(
                         f"shard {index} sent ({tag}, {kk}); expected ('sync', {k})"
                     )
-                records.extend(unpack_records(records_artifact.bytes()))
+                records.extend(unpack_records(records_blob))
                 messages.append(outbound)
             inboxes = _route_inboxes(shards, messages)
             for (parent, _), inbox in zip(pipes, inboxes):
                 parent.send(("go", k, inbox))
         for index, (parent, _) in enumerate(pipes):
-            tag, result, tail_artifact = _recv(parent, workers[index], index)
+            tag, result, tail_blob = _recv(parent, workers[index], index)
             if tag != "done":
                 raise BoundaryProtocolError(
                     f"shard {index} sent {tag!r}; expected 'done'"
                 )
-            records.extend(unpack_records(tail_artifact.bytes()))
+            records.extend(unpack_records(tail_blob))
             shard_results.append(result)
         for worker in workers:
             worker.join(timeout=BARRIER_TIMEOUT_S)
@@ -500,7 +438,6 @@ def _run_sharded_processes(
                 worker.join(timeout=5.0)
         for parent, _ in pipes:
             parent.close()
-        transport.sweep_segments(token)
     return _merge_outcome(
         "sharded-processes",
         shards,

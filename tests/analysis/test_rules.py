@@ -103,13 +103,6 @@ def test_frk001_module_state_fixture():
     assert not analyze_source(source, "repro/apps/example.py")
 
 
-def test_frk003_shared_memory_fixture():
-    findings = analyze_file(FIXTURES / "frk003_shared_memory.py")
-    assert keys(findings) == [("FRK003", 7)]
-    source = (FIXTURES / "frk003_shared_memory.py").read_text(encoding="utf-8")
-    assert not analyze_source(source, "repro/runner/artifacts.py")
-
-
 def test_every_rule_has_a_fixture_exercising_it():
     codes = set()
     for fixture in FIXTURES.rglob("*.py"):

@@ -1,11 +1,10 @@
-"""Delivery-event pooling and the candidate-batch cache counters.
+"""The candidate-batch cache counters and the oracle's event pool.
 
-The batch pipeline's two allocation optimizations are observable without
+The batch pipeline's candidate-gather reuse is observable without
 touching delivery semantics: ``batch_cache_hits``/``batch_cache_misses``
-count per-(timestamp, version) candidate-gather reuse, and the
-``_BatchDelivery`` shells recycle through the medium's pool — the same
-object identity serving successive transmissions.  The scalar reference
-medium pools its per-receiver ``_Delivery`` shells the same way.
+count per-(timestamp, version) reuse.  The scalar reference medium
+recycles its per-receiver ``_Delivery`` shells through a pool — the same
+object identities serving successive transmissions.
 """
 
 from __future__ import annotations
@@ -66,22 +65,6 @@ def test_attach_invalidates_the_batch_cache():
     # The new attach bumped the version: the second gather cannot reuse
     # the first (it would miss the new radio).
     assert (medium.batch_cache_hits, medium.batch_cache_misses) == (0, 2)
-
-
-def test_batch_shells_recycle_through_the_pool():
-    kernel, medium, radios, heard = _population()
-    assert medium._batch_pool == []
-    radios[0].advertise_once(b"a")
-    kernel.run_until(1.0)
-    assert heard  # the broadcast actually delivered
-    assert len(medium._batch_pool) == 1
-    shell = medium._batch_pool[0]
-    assert shell.receivers is None and shell.frame is None
-    radios[1].advertise_once(b"b")
-    # The scheduled event reused the recycled shell rather than allocating.
-    assert medium._batch_pool == []
-    kernel.run_until(2.0)
-    assert medium._batch_pool == [shell]
 
 
 def test_scalar_shells_recycle_through_the_pool():

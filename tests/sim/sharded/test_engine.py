@@ -3,18 +3,22 @@
 The serial run on the production medium must also match the serial run
 on the scalar reference medium, shard workers must match it under the
 spawn start method too, and a shard worker that dies mid-run must fail
-the run at once.
+the run at once.  A process-mode run loads neither the runner nor the
+experiment grids.
 """
 
 import multiprocessing
 import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.phy.geometry import Position
 from repro.phy.mobility import MobilityModel
-from repro.runner import artifacts
 from repro.sim.sharded import ScenarioSpec, engine, run_serial, run_sharded
 from repro.sim.sharded.engine import canonical_records, delivery_digest
 from repro.sim.sharded.shard import ShardRuntime
@@ -73,9 +77,7 @@ def test_serial_matches_the_scalar_reference(serial_outcome, monkeypatch):
     "fork" not in multiprocessing.get_all_start_methods(),
     reason="the monkeypatched shard code reaches workers only via fork",
 )
-def test_dead_shard_worker_fails_fast_without_leaking_segments(monkeypatch):
-    token = f"radead{os.getpid():x}"
-    monkeypatch.setattr(artifacts, "make_run_token", lambda: token)
+def test_dead_shard_worker_fails_fast(monkeypatch):
     original = ShardRuntime.run_window
 
     def run_window(self, t1):
@@ -88,14 +90,6 @@ def test_dead_shard_worker_fails_fast_without_leaking_segments(monkeypatch):
     with pytest.raises(RuntimeError, match="shard 1 died mid-run"):
         run_sharded(SPEC, 3, processes=True)
     assert time.monotonic() - started < 10.0
-    if os.path.isdir("/dev/shm"):
-        assert [name for name in os.listdir("/dev/shm")
-                if name.startswith(token)] == []
-
-
-def test_process_sharded_inline_artifacts_match_serial(serial_outcome):
-    outcome = run_sharded(SPEC, 2, processes=True, use_shared_memory=False)
-    assert outcome.digest == serial_outcome.digest
 
 
 def test_spawned_shard_workers_match_serial(serial_outcome, monkeypatch):
@@ -106,6 +100,26 @@ def test_spawned_shard_workers_match_serial(serial_outcome, monkeypatch):
     outcome = run_sharded(SPEC, 2, processes=True)
     assert outcome.mode == "sharded-processes"
     assert outcome.digest == serial_outcome.digest
+
+
+def test_process_mode_loads_neither_runner_nor_experiments():
+    # A fresh interpreter: this test process has imported both already.
+    probe = (
+        "import sys\n"
+        "from repro.sim.sharded import ScenarioSpec, run_sharded\n"
+        "spec = ScenarioSpec(name='layering', arena_m=200.0, node_count=12,\n"
+        "                    rounds=2, beacon_period_s=5.0, horizon_s=5.0,\n"
+        "                    seed=5)\n"
+        "outcome = run_sharded(spec, 2, processes=True)\n"
+        "assert outcome.mode == 'sharded-processes', outcome.mode\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m.startswith(('repro.runner', 'repro.experiments'))))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+    result = subprocess.run([sys.executable, "-c", probe], env=env,
+                            capture_output=True, text=True, check=True,
+                            timeout=60)
+    assert result.stdout.strip() == "[]"
 
 
 def test_sharded_accounting_is_conserved():
