@@ -87,6 +87,13 @@ class MobilityModel:
         points, independent of which window is asked about.  The base class
         returns ``math.inf`` — such models cannot participate in sharded
         partitioning (they can teleport across shard boundaries).
+
+        ``0.0`` promises a constant position: ``position_at`` returns the
+        same point at every time.  The radio medium
+        (:class:`~repro.radio.medium.Medium`) is the second consumer of
+        that promise: while every radio of a technology sits on such a
+        model it positions and bins them once per attach/move, not once
+        per instant.
         """
         return math.inf
 

@@ -12,14 +12,19 @@ The broadcast pipeline
 A broadcast runs in four batch stages, each a separately overridable seam:
 
 1. **query** — :meth:`Medium._cell_batch` returns every candidate with
-   its position as parallel numpy arrays.  Once per (timestamp,
-   attach/move version) :meth:`Medium._kind_arrays` positions every radio
-   of the technology and bins it into square cells whose side is the
-   model's cutoff (``max_range()``); a cell's batch is then a few sorted
-   slices plus one distance trim, cached per (technology, cell) so a
-   beacon round's many same-cell senders share one gather (hit/miss
-   counts in ``batch_cache_hits``/``batch_cache_misses``).  A model with
-   no cutoff gets one batch holding every radio of the technology.
+   its position as parallel numpy arrays.  :meth:`Medium._kind_arrays`
+   positions every radio of the technology and bins it into square cells
+   whose side is the model's cutoff (``max_range()``); a cell's batch is
+   then a few sorted slices plus one distance trim, cached per
+   (technology, cell) so many senders share one gather (hit/miss counts
+   in ``batch_cache_hits``/``batch_cache_misses``).  Both caches are kept
+   per technology and hold while its *stamp* does: the attach/move
+   version alone while none of the technology's attached radios can move
+   (``max_speed() == 0.0``, a constant position by the
+   :class:`~repro.phy.mobility.MobilityModel` contract), else (timestamp,
+   version).  So a scene of fixed devices positions and bins them once,
+   not once per instant.  A model with no cutoff gets one batch holding
+   every radio of the technology.
 2. **probability** — :meth:`Medium._delivery_mask` computes distances,
    delivery probabilities, and the RNG delivery rolls in one numpy pass.
 3. **acceptance** — :meth:`Medium._acceptance_mask` asks each concrete
@@ -51,7 +56,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from itertools import compress
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -77,8 +82,24 @@ PROPAGATION_DELAY_S = 5e-6
 
 #: Packs a (cell_x, cell_y) pair into one int64 cell id for the per-stamp
 #: binned gather (see Medium._kind_arrays): ids of one x-column are
-#: contiguous, so a column's y-range is a single sorted-array slice.
+#: contiguous, so a column's y-range is a single sorted-array slice.  The
+#: packing is exact only while every cell index, and the 5×5 neighbourhood
+#: a gather reaches around it, stays inside ±2**31: ``_kind_arrays``
+#: rejects a radio whose ``|floor(x / size)|`` or ``|floor(y / size)|``
+#: exceeds ``_CELL_LIMIT`` (about ±6.4e10 m for BLE's 30 m cells, ±2.1e8 m
+#: for NFC's 0.1 m).
 _CELL_STRIDE = 1 << 32
+_CELL_LIMIT = (1 << 31) - 3
+
+
+def _can_move(node: WorldNode) -> bool:
+    """Whether ``node``'s position may change with time.
+
+    Only a ``max_speed()`` of exactly 0.0 pins a position (the
+    :class:`~repro.phy.mobility.MobilityModel` contract); the base class's
+    ``inf`` — a model that states no bound — counts as a mover.
+    """
+    return not node.mobility.max_speed() == 0.0
 
 
 class _MIXED:
@@ -125,13 +146,20 @@ class _CellBatch:
     ``radios`` is attach-order sorted; ``xs``/``ys`` are the matching
     float64 coordinates and ``index`` the matching ascending positions in
     the per-stamp arrays (see ``Medium._kind_arrays``), binary-searched to
-    locate the sender.
+    locate the sender.  A batch lives as long as its technology's stamp
+    (see ``Medium._ensure_stamp``): one instant when the technology has a
+    mover, every instant up to the next attach, detach or mobility change
+    when it has none.
     ``accept_cache`` memoises the batch-wide acceptance pre-filter for
     version-covered radio classes as ``(accept_version, frame_kind, mask,
     all_true)`` — every same-cell sender at one stamp shares one mask
     instead of recomputing it per broadcast.  ``scratch`` holds the
     batch-sized work buffers of :meth:`Medium._delivery_mask` (two
     float64, one bool), so the per-broadcast array pass allocates nothing.
+    A stamp, and so the mask, may span instants.  That is sound
+    because a version-covered class's mask reads only version-covered
+    state and the frame kind, never ``now`` (BLE; WiFi's monitor window
+    reads ``now``, and WiFi is not version-covered).
 
     Only lists and numeric arrays: an object-dtype ndarray would hide the
     radios from the cycle collector and keep the whole scene alive.
@@ -179,16 +207,34 @@ class Medium:
         self.batch_cache_hits = 0
         self.batch_cache_misses = 0
         self._attach_seq = 0
-        # Per-(kind, cell) candidate batches, valid for one (timestamp,
-        # attach/move version) — see _cell_batch.
-        self._batch_cache: Dict[Tuple[RadioKind, Optional[Tuple[int, int]]],
-                                _CellBatch] = {}
-        self._batch_stamp: Tuple[float, int] = (-1.0, -1)
-        self._batch_version = 0
-        # Per-stamp, per-kind position arrays over every attached radio,
-        # cell-binned for the batch gather — see _kind_arrays.  Shares
-        # the batch cache's (timestamp, version) validity.
+        # Per-kind, per-cell candidate batches — see _cell_batch — and
+        # per-kind position arrays over every attached radio, cell-binned
+        # for the batch gather — see _kind_arrays.  A kind's two caches
+        # hold while its stamp does (see _ensure_stamp): (None, version)
+        # while none of its radios can move, else (timestamp, version).
+        # Every attach, detach and mobility change bumps the version.
+        self._batch_cache: Dict[RadioKind, Dict[Optional[Tuple[int, int]],
+                                                _CellBatch]] = {
+            kind: {} for kind in RadioKind
+        }
         self._stamp_arrays: Dict[RadioKind, tuple] = {}
+        self._stamps: Dict[RadioKind, Tuple[Optional[float], int]] = {
+            kind: (None, -1) for kind in RadioKind
+        }
+        self._batch_version = 0
+        # Mover bookkeeping, kept incrementally so no stamp rescans a
+        # kind: per kind, how many attached radios sit on each node; the
+        # nodes among those that can move (_can_move, re-read only when
+        # that node's mobility changes); and per kind the count of
+        # attached radios on such a node.  Counts, not per-node radio
+        # lists: an attach then allocates nothing the cycle collector
+        # tracks, so a 10k-node scene's set-up runs no extra full
+        # collection.
+        self._on_node: Dict[RadioKind, Dict[WorldNode, int]] = {
+            kind: {} for kind in RadioKind
+        }
+        self._moving_nodes: Set[WorldNode] = set()
+        self._movers: Dict[RadioKind, int] = {kind: 0 for kind in RadioKind}
         # Whether any attached radio is a halo mirror: lets the batch
         # delivery loop skip the per-receiver is_mirror test entirely in
         # unsharded runs (the overwhelming majority).
@@ -235,15 +281,52 @@ class Medium:
         elif known is not cls:
             self._mono_class[radio.kind] = _MIXED
         self._radios[radio.kind].append(radio)
+        node = radio.node
+        if not self._has_radios(node) and _can_move(node):
+            self._moving_nodes.add(node)
+        counts = self._on_node[radio.kind]
+        counts[node] = counts.get(node, 0) + 1
+        if node in self._moving_nodes:
+            self._movers[radio.kind] += 1
 
     def detach(self, radio: Radio) -> None:
         """Unregister a radio (device leaving the simulation)."""
         self._radios[radio.kind].remove(radio)
         self._batch_version += 1
+        node = radio.node
+        counts = self._on_node[radio.kind]
+        if counts[node] == 1:
+            del counts[node]
+        else:
+            counts[node] -= 1
+        if node in self._moving_nodes:
+            self._movers[radio.kind] -= 1
+            if not self._has_radios(node):
+                self._moving_nodes.discard(node)
+
+    def _has_radios(self, node: WorldNode) -> bool:
+        """Whether any radio attached to this medium sits on ``node``."""
+        return any(node in counts for counts in self._on_node.values())
 
     def _node_moved(self, node: WorldNode) -> None:
-        """A node changed mobility model: every cached position is stale."""
+        """A node changed mobility model: every cached position is stale.
+
+        Re-reads whether this one node can move and moves its radios
+        between the static and mover counts if that changed.
+        """
         self._batch_version += 1
+        if not self._has_radios(node):
+            return
+        moving = _can_move(node)
+        if moving == (node in self._moving_nodes):
+            return
+        if moving:
+            self._moving_nodes.add(node)
+        else:
+            self._moving_nodes.discard(node)
+        step = 1 if moving else -1
+        for kind, counts in self._on_node.items():
+            self._movers[kind] += step * counts.get(node, 0)
 
     def radios(self, kind: RadioKind) -> Tuple[Radio, ...]:
         """All attached radios of ``kind`` (enabled or not), attach order.
@@ -254,19 +337,22 @@ class Medium:
         """
         return tuple(self._radios[kind])
 
-    def _ensure_stamp(self) -> float:
-        """Roll the per-stamp caches to the current (clock, version) tick.
+    def _ensure_stamp(self, kind: RadioKind) -> float:
+        """Roll ``kind``'s caches to its current stamp; return the clock.
 
-        The candidate-batch cache and the per-kind position arrays share
-        one validity stamp: any clock advance or attach/detach/move
-        invalidates both wholesale.  Returns the current clock.
+        A kind's candidate batches and position arrays share one stamp:
+        ``(None, version)`` while none of its attached radios can move —
+        their positions are constant, so only an attach, detach or
+        mobility change (each bumps the version) can stale them — and
+        ``(now, version)`` while one can, so a clock advance stales them
+        too.  A changed stamp drops both caches of that kind wholesale.
         """
         now = self.kernel.now
-        stamp = self._batch_stamp
-        if stamp[0] != now or stamp[1] != self._batch_version:
-            self._batch_cache.clear()
-            self._stamp_arrays.clear()
-            self._batch_stamp = (now, self._batch_version)
+        stamp = (now if self._movers[kind] else None, self._batch_version)
+        if stamp != self._stamps[kind]:
+            self._batch_cache[kind].clear()
+            self._stamp_arrays.pop(kind, None)
+            self._stamps[kind] = stamp
         return now
 
     def _kind_arrays(self, kind: RadioKind, now: float,
@@ -275,7 +361,9 @@ class Medium:
 
         One position pass per stamp (``position_at(now)`` — the same pure
         function, hence the same float64s, ``node.position`` reads) feeds
-        every batch of the stamp.  Radios are listed in attach order, so
+        every batch of the stamp; for a kind with no mover the stamp spans
+        instants, and the positions it read stay exact because none of
+        them can change.  Radios are listed in attach order, so
         index order *is* ascending ``_medium_seq`` order.  Returns
         ``(radios, xs, ys, index_of, order, sorted_cid)`` where
         ``index_of`` maps ``_medium_seq`` back to array index.  With a
@@ -283,7 +371,9 @@ class Medium:
         so attach order survives within a cell) and ``sorted_cid`` is the
         matching sorted id array — together they make one cell-column
         gather a pair of binary searches; without one (unbounded model)
-        both are None.  Call through :meth:`_ensure_stamp` first.
+        both are None.  Raises ValueError for a radio whose cell index
+        lies beyond ``_CELL_LIMIT`` (or is not finite), where the packed
+        id would wrap.  Call through :meth:`_ensure_stamp` first.
         """
         entry = self._stamp_arrays.get(kind)
         if entry is not None:
@@ -304,9 +394,23 @@ class Medium:
         }
         order = sorted_cid = None
         if size is not None:
+            cell_x = np.floor(xs / size)
+            cell_y = np.floor(ys / size)
+            inside = (np.abs(cell_x) <= _CELL_LIMIT) & (
+                np.abs(cell_y) <= _CELL_LIMIT
+            )
+            if not inside.all():
+                bad = int(np.argmin(inside))
+                raise ValueError(
+                    f"radio {radios[bad].name!r} is at ({float(xs[bad])!r}, "
+                    f"{float(ys[bad])!r}), beyond the medium's coordinate "
+                    f"limit for {kind.value}: |floor(coordinate / {size!r})| "
+                    f"must not exceed {_CELL_LIMIT} (about "
+                    f"{_CELL_LIMIT * size:.3g} m)"
+                )
             cid = (
-                np.floor(xs / size).astype(np.int64) * _CELL_STRIDE
-                + np.floor(ys / size).astype(np.int64)
+                cell_x.astype(np.int64) * _CELL_STRIDE
+                + cell_y.astype(np.int64)
             )
             order = np.argsort(cid, kind="stable")
             sorted_cid = cid[order]
@@ -323,7 +427,8 @@ class Medium:
         """Query stage: the cached candidate batch covering ``origin``'s cell.
 
         Cells are ``cutoff`` meters square.  One gather serves every
-        same-cell sender at this timestamp.  The batch must contain every
+        same-cell sender while ``kind``'s stamp holds (see
+        :meth:`_ensure_stamp`).  The batch must contain every
         radio within ``cutoff`` of *any* origin in the cell — i.e. within
         Chebyshev ``cutoff + size/2`` of the cell center — and is free to
         contain more: candidates beyond ``cutoff`` have delivery
@@ -333,17 +438,18 @@ class Medium:
         — ``cutoff + 0.75·size``, a safe margin over the cell
         half-diagonal (``size·√2/2``).  A ``cutoff`` of None (unbounded
         model, or a zero range that gives no cell size) means one batch
-        of every radio of ``kind``.  Invalidated whenever the clock
-        advances or a radio attaches/detaches/moves.
+        of every radio of ``kind``.  Invalidated whenever a radio
+        attaches, detaches or changes mobility, and — only while one of
+        ``kind``'s radios can move — whenever the clock advances.
         """
-        now = self._ensure_stamp()
+        now = self._ensure_stamp(kind)
         size = cutoff
         cell = (
             None if size is None
             else (math.floor(origin.x / size), math.floor(origin.y / size))
         )
-        key = (kind, cell)
-        batch = self._batch_cache.get(key)
+        cache = self._batch_cache[kind]
+        batch = cache.get(cell)
         if batch is not None:
             self.batch_cache_hits += 1
             return batch
@@ -353,7 +459,7 @@ class Medium:
         )
         if cell is None:
             batch = _CellBatch(radios, xs_all, ys_all, range(len(radios)))
-            self._batch_cache[key] = batch
+            cache[cell] = batch
             return batch
         # Every cell whose box meets the required Chebyshev disk: offset
         # d qualifies iff (d - 0.5)·size ≤ cutoff + 0.5·size, so d ≤ 2.
@@ -368,7 +474,7 @@ class Medium:
                 pieces.append(order[lo:hi])
         if not pieces:
             batch = _CellBatch([], xs_all[:0], ys_all[:0], [])
-            self._batch_cache[key] = batch
+            cache[cell] = batch
             return batch
         idx = pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
         idx = np.sort(idx)  # index order == ascending attach order
@@ -384,7 +490,7 @@ class Medium:
             ys = ys[near]
         index = idx.tolist()
         batch = _CellBatch([radios[i] for i in index], xs, ys, index)
-        self._batch_cache[key] = batch
+        cache[cell] = batch
         return batch
 
     def in_range(self, a: Radio, b: Radio) -> bool:
@@ -424,7 +530,7 @@ class Medium:
         # The sender's position comes from the same per-stamp array pass
         # that positions the batch: position_at(now) is pure, so these are
         # the very float64s ``sender.node.position`` would produce.
-        now = self._ensure_stamp()
+        now = self._ensure_stamp(kind)
         entry = self._kind_arrays(kind, now, cutoff)
         gpos = entry[3].get(sender._medium_seq, -1)
         if gpos >= 0:
@@ -446,10 +552,10 @@ class Medium:
         ref = getattr(mono, "_accepts_versioned_ref", None)
         if ref is not None and ref is getattr(mono, "_accepts_frame", None):
             # Version-covered mono-class kind (the common case): one
-            # batch-wide pre-filter mask per (cell, stamp, version, frame
-            # kind) is shared by every same-cell sender, and the
-            # delivery-time re-check is elided while the version holds
-            # (see _execute_batch_delivery).
+            # batch-wide pre-filter mask per (batch, acceptance version,
+            # frame kind) is shared by every same-cell sender while the
+            # batch lives, and the delivery-time re-check is elided while
+            # the version holds (see _execute_batch_delivery).
             version = self._accept_version
             cache = batch.accept_cache
             if (

@@ -21,15 +21,22 @@ from repro.sim.kernel import Kernel
 from tests.reference_medium import ReferenceMedium
 
 class _CountingMedium(Medium):
-    """Counts acceptance-stage invocations to observe re-check elision."""
+    """Counts acceptance-stage invocations to observe re-check elision:
+    all of them, and apart from those the delivery-time re-checks."""
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self.acceptance_calls = 0
+        self.rechecks = 0
 
     def _acceptance_mask(self, *args, **kwargs):
         self.acceptance_calls += 1
         return super()._acceptance_mask(*args, **kwargs)
+
+    def _execute_batch_delivery(self, *args, **kwargs):
+        calls = self.acceptance_calls
+        super()._execute_batch_delivery(*args, **kwargs)
+        self.rechecks += self.acceptance_calls - calls
 
 
 def _line_of_radios(kernel, medium, count, spacing=5.0, radio_cls=BleRadio):
@@ -84,21 +91,32 @@ def test_stop_scanning_in_flight_forces_recheck_and_drop():
 
 def test_unchanged_state_elides_the_delivery_recheck():
     """With no acceptance-state churn between scheduling and arrival, the
-    acceptance mask runs once per broadcast (the pre-filter); a churned
-    medium re-checks at delivery time too."""
+    acceptance mask runs only as the pre-filter, once per batch and
+    acceptance version — so a quiet broadcast at a later instant, whose
+    static batch and mask both still hold, runs none at all.  A churned
+    broadcast re-checks at delivery time and drops the churned radio."""
     kernel, medium, radios = _fresh_line(_CountingMedium)
-    for radio in radios[1:]:
-        radio.start_scanning(lambda payload, mac, distance: None)
+    heard = []
+    for i, radio in enumerate(radios[1:], start=1):
+        radio.start_scanning(
+            lambda payload, mac, distance, me=i: heard.append((me, payload))
+        )
     medium.acceptance_calls = 0
     radios[0].advertise_once(b"quiet")
     kernel.run_until(1.0)
-    assert medium.acceptance_calls == 1
+    assert (medium.acceptance_calls, medium.rechecks) == (1, 0)
 
     medium.acceptance_calls = 0
+    radios[0].advertise_once(b"later")
+    kernel.run_until(2.0)
+    assert (medium.acceptance_calls, medium.rechecks) == (0, 0)
+
     radios[0].advertise_once(b"churned")
     kernel.call_in(0.0002, radios[3].stop_scanning)
-    kernel.run_until(2.0)
-    assert medium.acceptance_calls == 2
+    kernel.run_until(3.0)
+    assert medium.rechecks == 1
+    assert [me for me, payload in heard if payload == b"churned"] == [1, 2]
+    assert medium.frames_dropped == 1
 
 
 def test_deliver_batch_falls_back_for_scalar_only_overrides():
