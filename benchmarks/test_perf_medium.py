@@ -51,7 +51,7 @@ ROUNDS = 40
 REQUIRED_SPEEDUP_AT_200 = 5.0
 
 #: All-mobile layout: node count, beacon rounds, and sim-time step between
-#: rounds (large enough that the walkers cross several index epochs).
+#: rounds (long enough that every walker moves between rounds).
 MOBILE_NODE_COUNT = 200
 MOBILE_ROUNDS = 20
 MOBILE_STEP_S = 2.0
@@ -170,7 +170,7 @@ def _time_mobile_broadcast(medium_cls):
     return elapsed, digest, medium.frames_delivered
 
 
-def test_time_aware_index_accelerates_all_mobile_fanout(
+def test_binned_medium_accelerates_all_mobile_fanout(
     monkeypatch: pytest.MonkeyPatch,
 ):
     print()
@@ -239,6 +239,6 @@ def test_time_aware_index_accelerates_all_mobile_fanout(
 
     required = 1.0 if SMOKE else MOBILE_REQUIRED_SPEEDUP
     assert speedup >= required, (
-        f"time-aware index only ×{speedup:.1f} over linear on the all-mobile"
+        f"binned medium only ×{speedup:.1f} over linear on the all-mobile"
         f" layout (need ×{required})"
     )

@@ -11,7 +11,7 @@ sharded == serial, production ``Medium`` == the scalar oracle, and
   dataflow inference (:mod:`repro.analysis.dataflow`), and the rule pass
   (:mod:`repro.analysis.visitor`) — for the hazards every digest gate
   would miss (:mod:`repro.analysis.rules` says why for each rule), and
-  exits nonzero on any finding not waived in the checked-in baseline;
+  exits nonzero on any finding;
 - **at runtime**: :mod:`repro.analysis.tripwire` monkeypatches the
   module-level ``random`` (and ``numpy.random``) entry points to raise, so a
   driver that touches global RNG state fails its cell loudly instead of
@@ -20,5 +20,5 @@ sharded == serial, production ``Medium`` == the scalar oracle, and
 
 The package itself imports nothing, so the runner and shard workers load
 only the tripwire.  Import from the submodules.  See EXPERIMENTS.md
-("Determinism invariants") for the rule catalogue and the waiver workflow.
+("Determinism invariants") for the rule catalogue.
 """

@@ -278,8 +278,8 @@ def dedup_suppressed_id_calls(scope_node: ast.AST, scope: Scope) -> Set[int]:
     An ``id()`` key is safe when (a) every one of its uses feeds a local set
     used *only* as ``key in seen`` / ``seen.add(key)`` — pure membership, so
     address order never reaches any output — and (b) the same scope sorts a
-    result (``x.sort(...)`` or ``sorted(...)``), the idiom the waivers in
-    ``radio/wifi.py`` documented by hand.
+    result (``x.sort(...)`` or ``sorted(...)``), the idiom ``radio/wifi.py``
+    uses.
     """
     if scope.kind not in {"function", "module"}:
         return set()

@@ -4,67 +4,42 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
-from repro.analysis.baseline import Waiver
 from repro.analysis.rules import RULES, Finding
 
 
-def _summary(new: Sequence[Finding], stale: Sequence[Waiver],
-             waived_count: int) -> str:
-    verdict = "clean" if not new and not stale else "FAILED"
-    return (
-        f"determinism lint: {verdict} — {len(new)} new finding(s), "
-        f"{waived_count} waived, {len(stale)} stale waiver(s)"
-    )
+def _summary(findings: Sequence[Finding]) -> str:
+    verdict = "FAILED" if findings else "clean"
+    return f"determinism lint: {verdict} — {len(findings)} finding(s)"
 
 
-def render_text(
-    new: Sequence[Finding],
-    stale: Sequence[Waiver],
-    waived_count: int,
-) -> str:
-    """The human report: findings, then stale waivers, then a summary line."""
+def render_text(findings: Sequence[Finding]) -> str:
+    """The human report: each finding with its rule, then a summary line."""
     lines: List[str] = []
-    for finding in new:
+    for finding in findings:
         lines.append(finding.render())
         lines.append(f"    rule: {RULES[finding.code].name} — "
                      f"{RULES[finding.code].suggestion}")
-    for waiver in stale:
-        lines.append(
-            f"{waiver.path}:{waiver.line}: stale waiver for {waiver.code} "
-            f"— no finding matches any more; delete it from the baseline"
-        )
-    lines.append(_summary(new, stale, waived_count))
+    lines.append(_summary(findings))
     return "\n".join(lines)
 
 
-def render_github(
-    new: Sequence[Finding],
-    stale: Sequence[Waiver],
-    waived_count: int,
-) -> str:
+def render_github(findings: Sequence[Finding]) -> str:
     """GitHub Actions workflow-command annotations (``--format github``).
 
-    One ``::error``/``::warning`` line per finding/stale waiver — the Action
-    runner turns these into inline PR annotations — followed by the same
-    summary line the text format ends with.  Normalized ``repro/...`` paths
-    are re-rooted under ``src/`` so annotations anchor to checkout-relative
-    files.
+    One ``::error`` line per finding — the Action runner turns these into
+    inline PR annotations — followed by the same summary line the text
+    format ends with.  Normalized ``repro/...`` paths are re-rooted under
+    ``src/`` so annotations anchor to checkout-relative files.
     """
     lines: List[str] = []
-    for finding in new:
+    for finding in findings:
         lines.append(
             f"::error file={_workspace_path(finding.path)},"
             f"line={finding.line},col={finding.col + 1},"
             f"title={finding.code} {RULES[finding.code].name}::"
             f"{finding.message}"
         )
-    for waiver in stale:
-        lines.append(
-            f"::warning file={_workspace_path(waiver.path)},"
-            f"line={waiver.line},title=stale {waiver.code} waiver::"
-            "no finding matches any more; delete it from the baseline"
-        )
-    lines.append(_summary(new, stale, waived_count))
+    lines.append(_summary(findings))
     return "\n".join(lines)
 
 

@@ -19,9 +19,10 @@ Rules with ``only_paths`` fire nowhere else: FRK001 is scoped to
 module-level registry in single-process simulation code is ordinary
 Python, not a hazard.
 
-Anything else that needs an exception takes a per-line waiver in the
-baseline file instead, with a one-line justification (see
-:mod:`repro.analysis.baseline`).
+A finding is fixed in the code.  Where a rule is wrong for a path by
+design, the exception goes here, as ``exempt_paths`` or ``only_paths``
+with its reason in the comment beside it; there are no per-line
+exceptions.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ class Rule:
     summary: str
     suggestion: str
     #: Normalized-path prefixes where the rule never fires (the invariant's
-    #: own implementation).  Everything else must use a baseline waiver.
+    #: own implementation).  Everywhere else a finding is fixed in code.
     exempt_paths: Tuple[str, ...] = ()
     #: When non-empty, the rule fires *only* under these normalized-path
     #: prefixes (e.g. fork-safety rules are runner-scoped).
@@ -77,11 +78,6 @@ class Finding:
     line: int
     col: int
     message: str
-
-    @property
-    def key(self) -> Tuple[str, int, str]:
-        """The identity a baseline waiver matches on."""
-        return (self.path, self.line, self.code)
 
     def render(self) -> str:
         return f"{self.path}:{self.line}:{self.col}: {self.code} {self.message}"

@@ -26,15 +26,16 @@ safe idioms stay quiet —
   membership set whose surrounding result is sorted cannot leak address
   order.
 
-False positives are expected in the tail (that is what the baseline's
-per-line waivers are for); false negatives are the thing to minimise.
+False negatives are the thing to minimise.  A false positive is fixed
+in these passes, or scoped out of its rule in :mod:`repro.analysis.rules`
+with the reason written there.
 """
 
 from __future__ import annotations
 
 import ast
 from pathlib import Path
-from typing import Iterable, List, Sequence, Set
+from typing import Iterable, List, Sequence, Set, Union
 
 from repro.analysis import dataflow
 from repro.analysis.rules import RULES, Finding
@@ -74,9 +75,10 @@ def normalize_path(path) -> str:
     """A stable posix path key, rooted at the ``repro`` package when inside it.
 
     ``/root/repo/src/repro/radio/wifi.py`` → ``repro/radio/wifi.py`` whatever
-    the checkout location or working directory, so baseline waivers written on
-    one machine match findings produced on another.  Files outside the package
-    (test fixtures) fall back to a cwd-relative posix path.
+    the checkout location or working directory, so a rule's ``exempt_paths``
+    and ``only_paths`` scope it, and reports name it, the same on every
+    machine.  Files outside the package (test fixtures) fall back to a
+    cwd-relative posix path.
     """
     parts = Path(path).as_posix().split("/")
     if "repro" in parts:
@@ -410,8 +412,13 @@ class AnalysisVisitor(ast.NodeVisitor):
         self._reducer_depth -= 1
 
 
-def analyze_source(source: str, path: str) -> List[Finding]:
-    """Lint one module's source; ``path`` is used for reporting and scoping."""
+def analyze_source(source: Union[str, bytes], path: str) -> List[Finding]:
+    """Lint one module's source; ``path`` is used for reporting and scoping.
+
+    Bytes are decoded by the parser, as the interpreter decodes a module
+    (PEP 263), so undecodable input is a :class:`SyntaxError` naming
+    ``path`` and the line, like any other source the parser rejects.
+    """
     normalized = normalize_path(path)
     tree = ast.parse(source, filename=str(path))
     builder = build_scopes(tree)
@@ -428,8 +435,7 @@ def analyze_source(source: str, path: str) -> List[Finding]:
 
 def analyze_file(path) -> List[Finding]:
     """Lint one file from disk."""
-    source = Path(path).read_text(encoding="utf-8")
-    return analyze_source(source, str(path))
+    return analyze_source(Path(path).read_bytes(), str(path))
 
 
 def iter_python_files(root) -> Iterable[Path]:

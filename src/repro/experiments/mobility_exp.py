@@ -1,9 +1,10 @@
-"""Mobility-heavy beacon workload: the time-aware index's proving ground.
+"""Mobility-heavy beacon workload: every node walks.
 
 The paper's crowd/tourism workloads — and the BLE-mesh scalability regimes
-of the related literature — are dominated by *moving* devices, exactly
-where a static-only spatial index degenerates to an O(n) scan per
-transmission.  This experiment walks every node with
+of the related literature — are dominated by *moving* devices, so the
+medium re-bins every radio at each new instant instead of keeping its
+cell batches across instants, as it does while no radio can move.  This
+experiment walks every node with
 :class:`~repro.phy.mobility.RandomWaypoint` inside a city-block arena and
 beacons periodically, then fingerprints the full delivery log.
 

@@ -67,7 +67,6 @@ from repro.radio.base import Radio
 from repro.radio.frame import Frame, RadioKind
 from repro.sim.kernel import Kernel
 from repro.util import array
-from repro.util.rng import SeededRng
 
 #: Default communication ranges per technology, in meters.  BLE and WiFi
 #: follow common open-air figures; NFC is contact-range by design.
@@ -184,11 +183,10 @@ class Medium:
         kernel: Kernel,
         world: World,
         propagation: Optional[Dict[RadioKind, PropagationModel]] = None,
-        rng: Optional[SeededRng] = None,
     ) -> None:
         self.kernel = kernel
         self.world = world
-        self.rng = rng or kernel.rng.child("medium")
+        self.rng = kernel.rng.child("medium")
         self.propagation: Dict[RadioKind, PropagationModel] = {
             kind: UnitDisk(radius) for kind, radius in DEFAULT_RANGES.items()
         }

@@ -64,12 +64,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="run every cell in this process, no pool",
     )
     parser.add_argument(
-        "--start-method",
-        choices=["fork", "spawn", "forkserver"],
-        default=None,
-        help="multiprocessing start method (default: fork where available)",
-    )
-    parser.add_argument(
         "--compare-serial",
         action="store_true",
         help="after the parallel run, replay serially, report the speedup, "
@@ -188,7 +182,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         seeds=args.seeds,
         workers=args.workers,
         serial=args.serial,
-        start_method=args.start_method,
         compare_serial=args.compare_serial,
         attach_trace=args.attach_trace,
         attach_energy_timeline=args.attach_energy_timeline,

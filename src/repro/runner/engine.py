@@ -132,9 +132,7 @@ def _timed_run(work_item: Tuple[int, Job]) -> Tuple[int, CellResult, float]:
     return index, cell, time.perf_counter() - start
 
 
-def _pick_start_method(requested: Optional[str]) -> str:
-    if requested:
-        return requested
+def _pick_start_method() -> str:
     # fork starts hot (inherits the parent's imports); fall back to the
     # platform default where fork is unavailable (e.g. Windows).
     if "fork" in multiprocessing.get_all_start_methods():
@@ -146,7 +144,6 @@ def execute_jobs(
     jobs: Sequence[Job],
     workers: Optional[int] = None,
     serial: bool = False,
-    start_method: Optional[str] = None,
 ) -> Tuple[List[CellResult], float, Optional[str]]:
     """Run ``jobs``; return (declaration-ordered cell results, wall, method).
 
@@ -162,7 +159,7 @@ def execute_jobs(
             index, cell, wall = _timed_run(item)
             slots[index] = (cell, wall)
     else:
-        method = _pick_start_method(start_method)
+        method = _pick_start_method()
         context = multiprocessing.get_context(method)
         pool_size = workers or context.cpu_count()
         with ProcessPoolExecutor(max_workers=pool_size,
@@ -182,7 +179,6 @@ def run_experiment(
     seeds: Optional[Sequence[int]] = None,
     workers: Optional[int] = None,
     serial: bool = False,
-    start_method: Optional[str] = None,
     compare_serial: bool = False,
     attach_trace: bool = False,
     attach_energy_timeline: bool = False,
@@ -213,7 +209,7 @@ def run_experiment(
             shards=shards,
         ))
     outcomes, total_wall, method = execute_jobs(
-        jobs, workers=workers, serial=serial, start_method=start_method)
+        jobs, workers=workers, serial=serial)
     report = RunReport(
         experiment=experiment,
         seeds=seed_list,

@@ -19,13 +19,10 @@ from repro.util.rng import SeededRng
 class Kernel:
     """Owns the virtual clock, event heap, RNG tree, and running processes."""
 
-    def __init__(self, seed: int = 0, swallow_process_errors: bool = False) -> None:
+    def __init__(self, seed: int = 0) -> None:
         self.scheduler = EventScheduler()
         self.rng = SeededRng(seed)
         self.ids = IdGenerator()
-        # When False (the default), an exception escaping an un-joined process
-        # propagates out of run()/run_until() — the right behaviour for tests.
-        self.swallow_process_errors = swallow_process_errors
         self._barrier_hooks: List[Callable[[float], Any]] = []
 
     # -- time ------------------------------------------------------------

@@ -230,8 +230,8 @@ class Process(Waitable):
         except BaseException as error:  # noqa: BLE001 - reported to waiters
             had_waiters = bool(self._callbacks)
             self._complete(exception=error)
-            if not had_waiters and not self._kernel.swallow_process_errors:
-                raise
+            if not had_waiters:
+                raise  # nobody joined: propagate out of kernel.run*()
             return
         if not isinstance(yielded, Waitable):
             error = TypeError(
@@ -239,9 +239,7 @@ class Process(Waitable):
             )
             self._body.close()
             self._complete(exception=error)
-            if not self._kernel.swallow_process_errors:
-                raise error
-            return
+            raise error
         self._waiting_on = yielded
         yielded._start(self._kernel)
         yielded.add_done_callback(self._resume)

@@ -9,7 +9,7 @@ scoped to runner paths (``Rule.only_paths``).
 from pathlib import Path
 
 from repro.analysis.rules import RULES
-from repro.analysis.visitor import analyze_file, analyze_source
+from repro.analysis.visitor import analyze_file, analyze_source, normalize_path
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -126,6 +126,13 @@ def test_path_scoping_is_separator_aware():
                       exempt_paths=(prefix,))
         assert not exempt.applies_to("repro/runner/cli.py")
         assert exempt.applies_to("repro/runner_utils.py")
+
+
+def test_normalize_path_roots_at_repro_package():
+    assert normalize_path("/somewhere/src/repro/core/manager.py") == (
+        "repro/core/manager.py"
+    )
+    assert normalize_path("src/repro/radio/wifi.py") == "repro/radio/wifi.py"
 
 
 def test_file_exemptions_do_not_leak_onto_suffix_siblings():

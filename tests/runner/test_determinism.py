@@ -20,7 +20,7 @@ from repro.phy.world import World
 from repro.radio.base import Device
 from repro.radio.ble import BleRadio
 from repro.radio.medium import Medium
-from repro.runner import run_experiment
+from repro.runner import engine, run_experiment
 from repro.sim.kernel import Kernel
 from repro.util.rng import SeededRng
 from tests.reference_medium import ReferenceMedium
@@ -51,6 +51,18 @@ def test_parallel_equals_serial_at_two_seeds(experiment):
     driver = DRIVERS[experiment]
     for seed, grid in zip(seeds, parallel.results_by_seed()):
         assert grid == driver(seed=seed)
+
+
+def test_spawned_pool_workers_match_serial(monkeypatch):
+    # The pool forks wherever fork exists, so only this test runs the
+    # spawn fallback, which pickles every job and re-imports the drivers.
+    monkeypatch.setattr(engine, "_pick_start_method", lambda: "spawn")
+    spawned = run_experiment("table3", workers=2)
+    serial = run_experiment("table3", serial=True)
+    assert spawned.start_method == "spawn"
+    assert [cell.digest_line() for cell in spawned.outcomes] == [
+        cell.digest_line() for cell in serial.outcomes
+    ]
 
 
 def test_runner_timings_are_recorded():

@@ -105,22 +105,11 @@ def test_uncaught_process_exception_propagates(kernel):
         yield Timeout(0.5)
         raise RuntimeError("exploded")
 
-    kernel.spawn(bad())
-    with pytest.raises(RuntimeError, match="exploded"):
-        kernel.run()
-
-
-def test_swallowed_process_exception(kernel):
-    kernel.swallow_process_errors = True
-
-    def bad():
-        yield Timeout(0.5)
-        raise RuntimeError("quiet")
-
     process = kernel.spawn(bad())
-    kernel.run()
+    with pytest.raises(RuntimeError, match="exploded") as raised:
+        kernel.run()
     assert process.done
-    assert isinstance(process.exception, RuntimeError)
+    assert raised.value is process.exception
 
 
 def test_joined_process_exception_delivered_to_parent(kernel):
@@ -195,14 +184,13 @@ def test_stale_wakeup_after_interrupt_is_ignored(kernel):
 
 
 def test_yielding_non_waitable_fails_process(kernel):
-    kernel.swallow_process_errors = True
-
     def body():
         yield 42
 
     process = kernel.spawn(body())
-    kernel.run()
-    assert isinstance(process.exception, TypeError)
+    with pytest.raises(TypeError, match="not a Waitable") as raised:
+        kernel.run()
+    assert raised.value is process.exception
 
 
 def test_anyof_returns_first_winner(kernel):
