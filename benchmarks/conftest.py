@@ -8,13 +8,6 @@ fall — per the reproduction contract in DESIGN.md.
 
 from __future__ import annotations
 
-import sys
-from pathlib import Path
-
-# The medium benches compare against the scalar reference medium in
-# tests/reference_medium.py, imported as ``tests.reference_medium``.
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
-
 
 def run_once(benchmark, function, *args, **kwargs):
     """Run a deterministic experiment exactly once under the benchmark timer.

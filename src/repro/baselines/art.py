@@ -36,7 +36,7 @@ from repro.baselines.common import (
     encode_discovery,
 )
 from repro.net.announcer import MulticastAnnouncer
-from repro.net.ble_transport import MAX_MESSAGE_BYTES
+from repro.net.ble_transport import MAX_MESSAGE_BYTES, find_scanning_peer
 from repro.net.mesh import MeshNetwork
 from repro.net.payload import Payload, VirtualPayload, payload_size
 from repro.radio.base import Device
@@ -194,7 +194,7 @@ class SaSystem(D2DTransport):
         if entry.ble_address is None:
             self.kernel.call_in(0.0, lambda: report(False, "peer unknown on BLE"))
             return
-        if self.ble_discovery.find_scanning_peer(entry.ble_address) is None:
+        if find_scanning_peer(self.ble_discovery.radio, entry.ble_address) is None:
             self.kernel.call_in(0.0, lambda: report(False, "peer out of BLE range"))
             return
         burst = self.ble_discovery.burst.send(encode_data(self._id, payload))

@@ -30,7 +30,6 @@ from repro.net.mesh import MeshNetwork
 from repro.net.payload import Payload, VirtualPayload, payload_size
 from repro.radio.base import Device
 from repro.radio.ble import BleRadio
-from repro.radio.frame import RadioKind
 from repro.radio.wifi import SCAN_DURATION_S, WifiRadio
 from repro.sim.kernel import Kernel
 from repro.sim.process import Completion
@@ -321,16 +320,3 @@ class BleDiscovery:
     def _on_message(self, raw: bytes, sender: MacAddress) -> None:
         for handler in list(self._message_handlers):
             handler(raw, sender)
-
-    def find_scanning_peer(self, address: MacAddress) -> Optional[BleRadio]:
-        """The in-range scanning BLE radio with ``address``, or None."""
-        for radio in self.radio.medium.radios(RadioKind.BLE):
-            if (
-                radio is not self.radio
-                and getattr(radio, "address", None) == address
-                and radio.enabled
-                and radio.scanning
-                and self.radio.medium.in_range(self.radio, radio)
-            ):
-                return radio
-        return None

@@ -34,6 +34,7 @@ from repro.baselines.common import (
     encode_discovery,
 )
 from repro.net.announcer import MulticastAnnouncer
+from repro.net.ble_transport import find_scanning_peer
 from repro.net.mesh import MeshNetwork
 from repro.net.payload import Payload, VirtualPayload, payload_size
 from repro.radio.base import Device
@@ -108,7 +109,7 @@ class SpBleSystem(D2DTransport):
                 0.0, lambda: report(False, "BLE cannot carry bulk payloads")
             )
             return
-        if self.discovery.find_scanning_peer(entry.ble_address) is None:
+        if find_scanning_peer(self.discovery.radio, entry.ble_address) is None:
             self.kernel.call_in(0.0, lambda: report(False, "peer out of BLE range"))
             return
         burst = self.discovery.burst.send(encode_data(self._id, payload))

@@ -26,11 +26,11 @@ from repro.net.ble_transport import (
     BleReassembler,
     BleTransportError,
     burst_duration,
+    find_scanning_peer,
     fragment,
 )
 from repro.net.payload import VirtualPayload
 from repro.radio.ble import BleRadio
-from repro.radio.frame import RadioKind
 from repro.sim.kernel import Kernel
 
 
@@ -217,8 +217,7 @@ class BleBeaconTech(TechnologyAdapter):
     def _handle_send_data(self, request: SendRequest) -> None:
         assert request.packed is not None
         destination = request.destination
-        peer = self._find_peer_radio(destination)
-        if peer is None:
+        if find_scanning_peer(self.radio, destination) is None:
             self._respond(
                 request,
                 StatusCode.SEND_DATA_FAILURE,
@@ -249,18 +248,6 @@ class BleBeaconTech(TechnologyAdapter):
                 )
 
         burst.add_done_callback(on_done)
-
-    def _find_peer_radio(self, address: MacAddress) -> Optional[BleRadio]:
-        for radio in self.radio.medium.radios(RadioKind.BLE):
-            if (
-                radio is not self.radio
-                and getattr(radio, "address", None) == address
-                and radio.enabled
-                and radio.scanning
-                and self.radio.medium.in_range(self.radio, radio)
-            ):
-                return radio
-        return None
 
     # -- estimation -----------------------------------------------------------
 

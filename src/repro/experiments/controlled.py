@@ -64,12 +64,6 @@ class Table4Cell:
     energy_avg_ma: Optional[float]  # relative to WiFi standby; None = N/A
     latency_ms: Optional[float]
 
-    @property
-    def row_label(self) -> str:
-        size = "30B" if self.response_bytes == SMALL_RESPONSE_BYTES else "25MB"
-        suffix = f"$_{{{size}}}$" if self.data_tech == "WiFi" else ""
-        return f"{self.context_tech}/{self.data_tech}{size if self.data_tech == 'WiFi' else ''}"
-
 
 class _ServiceInteraction:
     """Responder offers a service; initiator requests and times the answer."""

@@ -60,9 +60,9 @@ def city_scenario(node_count: int = 10_000, seed: int = 61) -> ScenarioSpec:
 
     The arena scales area-linearly with the population (reference density:
     10k nodes on a 4 km square), so record volume grows linearly, not
-    quadratically, as the scenario is scaled up.  This is the
-    ``benchmarks/test_perf_sharded.py`` full configuration and the
-    tree's standing large-scenario profiling gauntlet.
+    quadratically, as the scenario is scaled up.  At its default size it
+    is perfbench's ``city`` workload, and ``sharded`` runs it on two
+    shard worker processes.
     """
     arena_m = 4_000.0 * (node_count / 10_000) ** 0.5
     return ScenarioSpec(
@@ -93,8 +93,9 @@ def run_cell(
     if variant == "serial":
         outcome = run_serial(spec)
     else:
-        # processes=None: fork workers where allowed, inline inside
-        # daemonic pool workers — the digest is identical either way.
+        # processes=None forks shard workers unless this process is
+        # daemonic; the runner's pool workers are not, so they fork too.
+        # The digest is identical either way.
         outcome = run_sharded(spec, shards)
     return ShardedCell(
         node_count=spec.node_count,

@@ -19,6 +19,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.net.addresses import MacAddress
 from repro.radio.ble import ADV_PAYLOAD_LIMIT, BleRadio
+from repro.radio.frame import RadioKind
 from repro.sim.process import Completion
 
 #: Spacing between fragments of one burst (fast advertising interval).
@@ -144,6 +145,23 @@ class BleBurstSender:
         # must wait for its next advertising opportunity.
         kernel.call_in(FRAGMENT_INTERVAL_S, lambda: send_frame(0))
         return completion
+
+
+def find_scanning_peer(radio: BleRadio,
+                       address: MacAddress) -> Optional[BleRadio]:
+    """The enabled, scanning BLE radio with ``address`` in range of
+    ``radio``, or None: the receiver a data burst from ``radio`` needs."""
+    medium = radio.medium
+    for peer in medium.radios(RadioKind.BLE):
+        if (
+            peer is not radio
+            and getattr(peer, "address", None) == address
+            and peer.enabled
+            and peer.scanning
+            and medium.in_range(radio, peer)
+        ):
+            return peer
+    return None
 
 
 def burst_duration(payload_len: int) -> float:

@@ -131,11 +131,6 @@ class FluidChannel:
 
     # -- flows -------------------------------------------------------------
 
-    @property
-    def active_flows(self) -> List[FluidFlow]:
-        """Flows currently in flight."""
-        return list(self._flows)
-
     def start_flow(self, size: int, label: str = "") -> FluidFlow:
         """Begin transferring ``size`` bytes; completion is a waitable.
 

@@ -52,20 +52,6 @@ class WorldNode:
         """Current position, derived from the mobility model and the clock."""
         return self.mobility.position_at(self.world.kernel.now)
 
-    @property
-    def static_position(self) -> Optional[Position]:
-        """The node's fixed position when it cannot move, else None.
-
-        A :class:`Static` node has one; any other model makes the position
-        a function of time (such nodes are still indexable — the
-        time-aware grid buckets them per epoch — but have no single fixed
-        position to report here).
-        """
-        mobility = self.mobility
-        if type(mobility) is Static:
-            return mobility.position
-        return None
-
     def distance_to(self, other: "WorldNode") -> float:
         """Current distance to another node in meters."""
         return self.position.distance_to(other.position)

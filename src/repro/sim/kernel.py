@@ -7,7 +7,7 @@ and use it for time, scheduling, randomness, and identifier generation.
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, Optional
 
 from repro.sim.events import EventHandle
 from repro.sim.process import Process, ProcessBody, Timeout
@@ -23,7 +23,6 @@ class Kernel:
         self.scheduler = EventScheduler()
         self.rng = SeededRng(seed)
         self.ids = IdGenerator()
-        self._barrier_hooks: List[Callable[[float], Any]] = []
 
     # -- time ------------------------------------------------------------
 
@@ -80,27 +79,14 @@ class Kernel:
         """Advance the simulation by ``duration`` seconds."""
         self.scheduler.run_until(self.now + duration)
 
-    def add_barrier_hook(self, hook: Callable[[float], Any]) -> None:
-        """Register ``hook(window_end)`` to fire after each :meth:`run_window`.
-
-        Barrier hooks are how a sharded driver splices synchronization into
-        the kernel: each shard advances through half-open horizon windows and
-        the hooks flush boundary state at every window edge, in registration
-        order.
-        """
-        self._barrier_hooks.append(hook)
-
     def run_window(self, end: float) -> None:
         """Advance to ``end``, executing only events strictly before it.
 
         Events scheduled exactly at ``end`` belong to the next window — they
         stay queued, so consecutive ``run_window`` calls tile simulated time
         into half-open intervals with no event executed twice or skipped.
-        Registered barrier hooks fire once the clock lands on ``end``.
         """
         self.scheduler.run_before(end)
-        for hook in self._barrier_hooks:
-            hook(end)
 
     def run(self) -> None:
         """Run until the event schedule drains completely."""

@@ -6,9 +6,12 @@ advancing in lockstep between integer horizons).  Sharded execution has
 two modes with identical semantics:
 
 - **inline** — all runtimes in this process, boundary messages still
-  round-tripped through the struct codecs.  Used for correctness tests,
-  on 1-core boxes, and automatically inside daemonic pool workers (which
-  may not fork grandchildren).
+  round-tripped through the struct codecs.  Tests ask for it;
+  ``processes=None`` picks it only inside a daemonic process (a
+  ``multiprocessing.Pool`` worker, say), which may not fork children.
+  The host's core count plays no part, and the runner's
+  ``ProcessPoolExecutor`` workers are not daemonic, so a sharded cell run
+  with ``--workers N`` forks its shard workers.
 - **processes** — one forked worker per shard, star topology: at every
   horizon each worker sends its packed boundary blobs and staged delivery
   records to the coordinator as plain bytes over its pipe, and the

@@ -116,12 +116,9 @@ class ShardRuntime:
         self._owned: Dict[int, BleRadio] = {}
         self._mirrors: Dict[int, MirrorRadio] = {}
         self._records: List[Record] = []
-        self._outbox: List[Record] = []
         self.handoffs_out = 0
         self.handoffs_in = 0
         self.mirror_adds = 0
-        # Window records drain to the outbox at each horizon barrier.
-        self.kernel.add_barrier_hook(self._on_barrier)
         for index, model in enumerate(self.models):
             if self.plan.strip_of(model.position_at(0.0)) == shard_index:
                 self._add_owned(index)
@@ -253,15 +250,15 @@ class ShardRuntime:
         """Advance to the next horizon (events strictly before ``t1``)."""
         self.kernel.run_window(t1)
 
-    def _on_barrier(self, end: float) -> None:
-        self._outbox.extend(self._records)
-        self._records.clear()
-
     def take_records(self) -> List[Record]:
-        """Drain delivery records staged by the last horizon barrier."""
-        staged = self._outbox
-        self._outbox = []
-        return staged
+        """Drain the delivery records of the windows run since the last call.
+
+        Only :meth:`run_window` executes kernel events, so every record
+        handed over belongs to a window that has already ended.
+        """
+        records = self._records
+        self._records = []
+        return records
 
     @property
     def owned_count(self) -> int:

@@ -1,18 +1,8 @@
-"""Tracing and metrics helpers."""
+"""Structured event tracing."""
 
-from repro.trace.metrics import (
-    LatencyTracker,
-    SeriesSummary,
-    percentile,
-    summarize,
-)
 from repro.trace.recorder import TraceEvent, TraceRecorder
 
 __all__ = [
-    "LatencyTracker",
-    "SeriesSummary",
     "TraceEvent",
     "TraceRecorder",
-    "percentile",
-    "summarize",
 ]

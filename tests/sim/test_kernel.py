@@ -140,20 +140,3 @@ def test_run_window_fires_strictly_before_end(kernel):
     assert kernel.now == 2.0
     kernel.run_window(3.0)
     assert fired == ["inside", "boundary"]
-
-
-def test_barrier_hooks_run_at_every_window_end(kernel):
-    seen = []
-    kernel.add_barrier_hook(lambda end: seen.append(("a", end)))
-    kernel.add_barrier_hook(lambda end: seen.append(("b", end)))
-    kernel.run_window(1.0)
-    kernel.run_window(2.5)
-    assert seen == [("a", 1.0), ("b", 1.0), ("a", 2.5), ("b", 2.5)]
-
-
-def test_barrier_hook_sees_window_events_already_executed(kernel):
-    order = []
-    kernel.call_at(0.5, lambda: order.append("event"))
-    kernel.add_barrier_hook(lambda end: order.append("barrier"))
-    kernel.run_window(1.0)
-    assert order == ["event", "barrier"]
