@@ -276,7 +276,7 @@ class TimeAwareGridIndex:
         self._mobility: Dict[Hashable, MobilityModel] = {}
         # Movers as bucketed at the current epoch start; fast/unbounded
         # movers sit in this inner index's roaming list.
-        self._movers = UniformGridIndex(cell_size)
+        self._moving = UniformGridIndex(cell_size)
         self._max_bound = 0.0
         # Sprinters: finite-bound movers too fast for the fine grid, in a
         # second-level grid with cells sized to their worst intra-epoch
@@ -319,7 +319,7 @@ class TimeAwareGridIndex:
         Meaningful for the epoch the index last rebucketed for; movers
         inserted since then are counted once the next query rebuckets.
         """
-        return self._movers.roaming_count
+        return self._moving.roaming_count
 
     @property
     def coarse_count(self) -> int:
@@ -346,8 +346,8 @@ class TimeAwareGridIndex:
             self._static.remove(item)
             return
         del self._mobility[item]
-        if item in self._movers:
-            self._movers.remove(item)
+        if item in self._moving:
+            self._moving.remove(item)
         elif self._coarse is not None and item in self._coarse:
             self._coarse.remove(item)
 
@@ -438,7 +438,7 @@ class TimeAwareGridIndex:
             coarse.insert_batch(sprinter_items, xs, ys)
         else:
             coarse = None
-        self._movers = movers
+        self._moving = movers
         self._max_bound = max_bound
         self._coarse = coarse
         self._coarse_bound = coarse_bound
@@ -468,7 +468,7 @@ class TimeAwareGridIndex:
         """Mover candidates (fine grid + roaming, then coarse sprinters)."""
         if self._tune_pending or not (self._valid_from <= now <= self._valid_to):
             self._rebucket(now)
-        candidates = self._movers.query(origin, radius + self._max_bound)
+        candidates = self._moving.query(origin, radius + self._max_bound)
         if self._coarse is not None:
             candidates.extend(
                 self._coarse.query(origin, radius + self._coarse_bound)

@@ -1,12 +1,7 @@
 """Radio models: BLE, WiFi-Mesh, NFC, and the shared medium."""
 
 from repro.radio.base import Device, Radio
-from repro.radio.ble import (
-    ADV_PAYLOAD_LIMIT,
-    AdvertisingSet,
-    BleRadio,
-    ScanConfig,
-)
+from repro.radio.ble import ADV_PAYLOAD_LIMIT, AdvertisingSet, BleRadio
 from repro.radio.frame import Frame, FrameKind, RadioKind
 from repro.radio.medium import DEFAULT_RANGES, Medium
 from repro.radio.nfc import NFC_PAYLOAD_LIMIT, NfcRadio
@@ -36,7 +31,6 @@ __all__ = [
     "Radio",
     "RadioKind",
     "SCAN_DURATION_S",
-    "ScanConfig",
     "TCP_HANDSHAKE_S",
     "UnicastTransfer",
     "WifiError",

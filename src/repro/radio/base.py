@@ -17,9 +17,10 @@ class Radio:
     """Base class for a simulated radio attached to a device.
 
     A radio knows its kind, its device (for position and energy), and the
-    medium it transmits into.  Subclasses implement technology-specific
-    operations and reception gating via :meth:`_accepts_frame` /
-    :meth:`_deliver`.
+    medium it transmits into.  Each concrete radio (BLE, WiFi, NFC)
+    implements its technology's operations and its reception gating: the
+    scalar :meth:`_accepts_frame` / :meth:`_deliver`, which define the
+    semantics, and the batch :meth:`accepts_mask` the medium runs.
     """
 
     kind: RadioKind
@@ -29,14 +30,12 @@ class Radio:
     #: checks on the hot path.
     is_mirror = False
 
-    #: Acceptance-state versioning vouch: a concrete radio class sets this
-    #: to its own ``_accepts_frame`` function when every field that method
-    #: reads bumps ``Medium._accept_version`` on mutation.  The medium may
-    #: then skip the delivery-time acceptance re-check for a batch whose
-    #: version is unchanged since scheduling.  Pinning the function object
-    #: (not a bare flag) means a subclass that overrides the scalar
-    #: reference loses the exemption automatically.
-    _accepts_versioned_ref = None
+    #: True on a class whose ``_accepts_frame`` reads only the frame kind
+    #: and fields whose every mutation bumps ``Medium._accept_version``
+    #: (never the clock).  The medium then shares one acceptance mask per
+    #: cell batch and version, and skips the delivery-time re-check of a
+    #: batch whose version is unchanged since scheduling.
+    accepts_versioned = False
 
     def __init__(self, device: "Device", medium: "Medium") -> None:
         self.device = device
@@ -121,15 +120,11 @@ class Radio:
         Acceptance draws no RNG, so implementations may evaluate in any
         order; only the ``_deliver`` side effects the medium runs over
         the mask are order-sensitive (ascending attach order).
-
-        The default delegates elementwise, so custom Radio subclasses
-        that only override the scalar surface keep working under the
-        batch delivery pipeline automatically.  Concrete overrides
-        (BLE/WiFi/NFC) must take ``now`` as the time authority for any
-        window bounds (e.g. WiFi monitor windows) rather than reading
-        per-radio clocks mid-loop.
+        Implementations take ``now`` as the time authority for any window
+        bound (e.g. WiFi monitor windows) rather than reading per-radio
+        clocks mid-loop.
         """
-        return [radio._accepts_frame(frame) for radio in radios]
+        raise NotImplementedError
 
     def _deliver(self, frame: Frame, distance: float) -> None:
         """Handle a frame the medium decided this radio receives."""
@@ -142,7 +137,7 @@ class Radio:
         Runs the delivery side effects for one broadcast's receivers —
         ``radios`` parallel to ``distances``, already in ascending attach
         order and already past the acceptance mask.  The default is the
-        elementwise reference loop; concrete radios may inline their
+        elementwise reference loop, which WiFi and NFC use; BLE inlines its
         ``_deliver`` body to shed half a million method dispatches per
         beacon round, but the observable effects (handler calls, counters,
         RNG draws, and their order) must stay exactly those of calling

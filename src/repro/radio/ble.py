@@ -5,11 +5,9 @@ Models the connection-less (beacon) operation Omni relies on:
 - **Advertising**: periodic advertisement events carrying a ≤31-byte payload
   (legacy ADV_IND).  Each event energises all three advertising channels, so
   it costs a short pulse at the paper's BLE-advertise draw (8.2 mA) and is
-  heard by any in-range scanner whose scan window covers it.
-- **Scanning**: continuous by default (the paper's constant 7.0 mA
-  BLE-scan draw); optional duty-cycled scanning for ablations, where each
-  advertisement is caught with probability window/interval and the scan draw
-  shrinks proportionally.
+  heard by every in-range scanner.
+- **Scanning**: continuous, at the paper's constant 7.0 mA BLE-scan draw
+  (Table 3).
 - **Data bursts**: connection-less data is carried by back-to-back
   advertisement frames at a fast interval, the way beacon-based exchanges
   work; fragmentation above 31 bytes lives in the technology adapter
@@ -23,7 +21,6 @@ spaced 40 ms apart, which reproduces the 82 ms BLE service latency.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, List, Optional
 
 from repro.energy.constants import BLE_ADVERTISE_MA, BLE_SCAN_MA, BLE_STANDBY_MA
@@ -47,21 +44,6 @@ ADV_FRAME_AIRTIME_S = 0.001
 DATA_FRAME_INTERVAL_S = 0.040
 
 ScanHandler = Callable[[bytes, MacAddress, float], None]
-
-
-@dataclass
-class ScanConfig:
-    """Scanning duty cycle; window == interval means continuous scanning."""
-
-    window_s: float = 1.0
-    interval_s: float = 1.0
-
-    @property
-    def duty(self) -> float:
-        """Fraction of time the receiver is listening."""
-        if self.interval_s <= 0:
-            raise ValueError("scan interval must be > 0")
-        return min(1.0, self.window_s / self.interval_s)
 
 
 class AdvertisingSet:
@@ -102,6 +84,12 @@ class BleRadio(Radio):
 
     kind = RadioKind.BLE
 
+    #: ``_accepts_frame`` reads ``enabled``, the frame kind and the scan
+    #: handler, and every mutation of those routes through enable/disable
+    #: or start/stop_scanning, each of which bumps
+    #: ``Medium._accept_version`` (see :attr:`Radio.accepts_versioned`).
+    accepts_versioned = True
+
     def __init__(self, device: Device, medium: Medium,
                  address: Optional[MacAddress] = None) -> None:
         super().__init__(device, medium)
@@ -110,12 +98,6 @@ class BleRadio(Radio):
         )
         self._advertising_sets: List[AdvertisingSet] = []
         self._scan_handler: Optional[ScanHandler] = None
-        self._scan_config = ScanConfig()
-        # Duty is sampled once per start_scanning (the instant the meter
-        # draw is set from it too) and cached flat: _deliver sits on the
-        # per-receiver delivery hot path and must not recompute the
-        # property half a million times per beacon round.
-        self._scan_duty = 1.0
         # Struct-packed acceptance state: `enabled and scanning` folded to
         # one flag, maintained at the four transitions that can change it
         # (start/stop scanning; disable routes through stop_scanning) so
@@ -123,6 +105,7 @@ class BleRadio(Radio):
         # stays the defining reference over the raw fields — the parity
         # suite churns both surfaces against each other.
         self._scan_active = False
+        # Draws the advertising jitter (advDelay) of every advertising set.
         self._scan_rng = device.kernel.rng.child("ble-scan", device.name)
         self.adv_events_sent = 0
         self.frames_heard = 0
@@ -205,23 +188,20 @@ class BleRadio(Radio):
         """True while a scan handler is registered."""
         return self._scan_handler is not None
 
-    def start_scanning(self, handler: ScanHandler,
-                       config: Optional[ScanConfig] = None) -> None:
+    def start_scanning(self, handler: ScanHandler) -> None:
         """Listen for advertisements; ``handler(payload, sender_mac, distance)``.
 
-        The scan draw is the BLE-scan current times the duty cycle, the
-        time-averaged cost of duty-cycled scanning.
+        Scanning is continuous and draws the BLE-scan current until
+        :meth:`stop_scanning`.
         """
         if not self.enabled:
             raise RuntimeError(f"{self.name}: cannot scan while disabled")
         if self._scan_handler is not None:
             raise RuntimeError(f"{self.name}: already scanning")
-        self._scan_config = config or ScanConfig()
-        self._scan_duty = self._scan_config.duty
         self._scan_handler = handler
         self._scan_active = True
         self.medium._accept_version += 1
-        self.meter.set_draw("ble.scan", BLE_SCAN_MA * self._scan_duty)
+        self.meter.set_draw("ble.scan", BLE_SCAN_MA)
 
     def stop_scanning(self) -> None:
         """Stop listening. Idempotent."""
@@ -243,19 +223,11 @@ class BleRadio(Radio):
 
     @classmethod
     def accepts_mask(cls, radios, frame: Frame, now: float):
-        if cls._accepts_frame is not BleRadio._accepts_frame:
-            # A subclass redefined the scalar reference without a matching
-            # batch form — fall back to the elementwise delegate so the
-            # mask can never disagree with the override.
-            return Radio.accepts_mask.__func__(cls, radios, frame, now)
         if frame.kind is not FrameKind.BLE_ADVERTISEMENT:
             return [False] * len(radios)
         return [radio._scan_active for radio in radios]
 
     def _deliver(self, frame: Frame, distance: float) -> None:
-        duty = self._scan_duty
-        if duty < 1.0 and not self._scan_rng.bernoulli(duty):
-            return  # advertisement fell outside the scan window
         self.frames_heard += 1
         handler = self._scan_handler
         if handler is not None:
@@ -263,33 +235,14 @@ class BleRadio(Radio):
 
     @classmethod
     def deliver_batch(cls, radios, frame: Frame, distances) -> None:
-        if cls._deliver is not BleRadio._deliver:
-            # Scalar override without a batch twin: delegate elementwise
-            # so the batch path can never diverge from the subclass.
-            Radio.deliver_batch.__func__(cls, radios, frame, distances)
-            return
         # The _deliver body, hoisted out of half a million call frames.
-        # Effects and their order are byte-identical: duty roll first
-        # (one draw per duty-cycled radio, ascending attach order),
-        # frames_heard before the handler test, and the handler re-read
-        # per radio — an earlier handler in this batch may have stopped a
-        # later radio's scanning.
+        # Effects and their order are byte-identical: frames_heard before
+        # the handler test, and the handler re-read per radio — an earlier
+        # handler in this batch may have stopped a later radio's scanning.
         payload = frame.payload
         sender_address = frame.sender.address
         for radio, distance in zip(radios, distances):
-            if radio._scan_duty < 1.0 and not radio._scan_rng.bernoulli(
-                radio._scan_duty
-            ):
-                continue
             radio.frames_heard += 1
             handler = radio._scan_handler
             if handler is not None:
                 handler(payload, sender_address, distance)
-
-
-#: BleRadio's acceptance formula reads ``enabled``, the frame kind, and the
-#: scan handler — fields whose every mutation routes through enable/disable
-#: or start/stop_scanning, all of which bump ``Medium._accept_version`` —
-#: so the medium may elide the delivery-time re-check while the version
-#: holds (see :attr:`repro.radio.base.Radio._accepts_versioned_ref`).
-BleRadio._accepts_versioned_ref = BleRadio._accepts_frame

@@ -3,13 +3,12 @@
 One :class:`Medium` instance per simulation carries every technology; each
 :class:`~repro.radio.frame.RadioKind` has its own propagation model.  The
 medium decides *who can hear* a transmission; receiver radios decide what to
-do with it (scan-window gating, mesh membership, etc.) via
-``_accepts_frame``.
+do with it (scanning, mesh membership, etc.) via ``_accepts_frame``.
 
 The broadcast pipeline
 ----------------------
 
-A broadcast runs in four batch stages, each a separately overridable seam:
+A broadcast runs in four batch stages:
 
 1. **query** — :meth:`Medium._cell_batch` returns every candidate with
    its position as parallel numpy arrays.  :meth:`Medium._kind_arrays`
@@ -22,9 +21,10 @@ A broadcast runs in four batch stages, each a separately overridable seam:
    version alone while none of the technology's attached radios can move
    (``max_speed() == 0.0``, a constant position by the
    :class:`~repro.phy.mobility.MobilityModel` contract), else (timestamp,
-   version).  So a scene of fixed devices positions and bins them once,
-   not once per instant.  A model with no cutoff gets one batch holding
-   every radio of the technology.
+   version); whether one can is re-read only when the version changes.
+   So a scene of fixed devices positions and bins them once, not once per
+   instant.  A model with no cutoff gets one batch holding every radio of
+   the technology.
 2. **probability** — :meth:`Medium._delivery_mask` computes distances,
    delivery probabilities, and the RNG delivery rolls in one numpy pass.
 3. **acceptance** — :meth:`Medium._acceptance_mask` asks each concrete
@@ -56,7 +56,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from itertools import compress
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -106,7 +106,10 @@ class _MIXED:
 
     A class (not an instance) so the ``Medium._mono_class`` values stay
     type-annotated; it can never equal ``type(radio)`` for any radio.
+    A mixed kind's batches are never version-covered.
     """
+
+    accepts_versioned = False
 
 
 class _BatchDelivery:
@@ -220,19 +223,6 @@ class Medium:
             kind: (None, -1) for kind in RadioKind
         }
         self._batch_version = 0
-        # Mover bookkeeping, kept incrementally so no stamp rescans a
-        # kind: per kind, how many attached radios sit on each node; the
-        # nodes among those that can move (_can_move, re-read only when
-        # that node's mobility changes); and per kind the count of
-        # attached radios on such a node.  Counts, not per-node radio
-        # lists: an attach then allocates nothing the cycle collector
-        # tracks, so a 10k-node scene's set-up runs no extra full
-        # collection.
-        self._on_node: Dict[RadioKind, Dict[WorldNode, int]] = {
-            kind: {} for kind in RadioKind
-        }
-        self._moving_nodes: Set[WorldNode] = set()
-        self._movers: Dict[RadioKind, int] = {kind: 0 for kind in RadioKind}
         # Whether any attached radio is a halo mirror: lets the batch
         # delivery loop skip the per-receiver is_mirror test entirely in
         # unsharded runs (the overwhelming majority).
@@ -246,7 +236,7 @@ class Medium:
         # Bumped by every mutation of acceptance-relevant radio state
         # (enable/disable, scan start/stop).  A scheduled batch whose
         # every receiver's class vouches for this coverage (see
-        # Radio._accepts_versioned_ref) skips the delivery-time re-check
+        # Radio.accepts_versioned) skips the delivery-time re-check
         # while the version is unchanged: all receivers accepted at
         # scheduling, and nothing that _accepts_frame reads has moved.
         self._accept_version = 0
@@ -279,52 +269,15 @@ class Medium:
         elif known is not cls:
             self._mono_class[radio.kind] = _MIXED
         self._radios[radio.kind].append(radio)
-        node = radio.node
-        if not self._has_radios(node) and _can_move(node):
-            self._moving_nodes.add(node)
-        counts = self._on_node[radio.kind]
-        counts[node] = counts.get(node, 0) + 1
-        if node in self._moving_nodes:
-            self._movers[radio.kind] += 1
 
     def detach(self, radio: Radio) -> None:
         """Unregister a radio (device leaving the simulation)."""
         self._radios[radio.kind].remove(radio)
         self._batch_version += 1
-        node = radio.node
-        counts = self._on_node[radio.kind]
-        if counts[node] == 1:
-            del counts[node]
-        else:
-            counts[node] -= 1
-        if node in self._moving_nodes:
-            self._movers[radio.kind] -= 1
-            if not self._has_radios(node):
-                self._moving_nodes.discard(node)
-
-    def _has_radios(self, node: WorldNode) -> bool:
-        """Whether any radio attached to this medium sits on ``node``."""
-        return any(node in counts for counts in self._on_node.values())
 
     def _node_moved(self, node: WorldNode) -> None:
-        """A node changed mobility model: every cached position is stale.
-
-        Re-reads whether this one node can move and moves its radios
-        between the static and mover counts if that changed.
-        """
+        """A node changed mobility model: every cached position is stale."""
         self._batch_version += 1
-        if not self._has_radios(node):
-            return
-        moving = _can_move(node)
-        if moving == (node in self._moving_nodes):
-            return
-        if moving:
-            self._moving_nodes.add(node)
-        else:
-            self._moving_nodes.discard(node)
-        step = 1 if moving else -1
-        for kind, counts in self._on_node.items():
-            self._movers[kind] += step * counts.get(node, 0)
 
     def radios(self, kind: RadioKind) -> Tuple[Radio, ...]:
         """All attached radios of ``kind`` (enabled or not), attach order.
@@ -343,14 +296,21 @@ class Medium:
         their positions are constant, so only an attach, detach or
         mobility change (each bumps the version) can stale them — and
         ``(now, version)`` while one can, so a clock advance stales them
-        too.  A changed stamp drops both caches of that kind wholesale.
+        too.  Whether one can move changes only with the version, so it is
+        re-read only then.  A changed stamp drops both caches of that kind
+        wholesale.
         """
         now = self.kernel.now
-        stamp = (now if self._movers[kind] else None, self._batch_version)
-        if stamp != self._stamps[kind]:
-            self._batch_cache[kind].clear()
-            self._stamp_arrays.pop(kind, None)
-            self._stamps[kind] = stamp
+        stamped_at, version = self._stamps[kind]
+        if version == self._batch_version:
+            if stamped_at is None or stamped_at == now:
+                return now
+            moving = True
+        else:
+            moving = any(_can_move(radio.node) for radio in self._radios[kind])
+        self._batch_cache[kind].clear()
+        self._stamp_arrays.pop(kind, None)
+        self._stamps[kind] = (now if moving else None, self._batch_version)
         return now
 
     def _kind_arrays(self, kind: RadioKind, now: float,
@@ -546,9 +506,8 @@ class Medium:
         delivered, distances = self._delivery_mask(
             model, origin, batch, sender_pos
         )
-        mono = self._mono_class.get(kind)
-        ref = getattr(mono, "_accepts_versioned_ref", None)
-        if ref is not None and ref is getattr(mono, "_accepts_frame", None):
+        mono = self._mono_class[kind]
+        if mono.accepts_versioned:
             # Version-covered mono-class kind (the common case): one
             # batch-wide pre-filter mask per (batch, acceptance version,
             # frame kind) is shared by every same-cell sender while the
@@ -668,12 +627,9 @@ class Medium:
 
         Groups ``radios`` by type and asks each class for its batch mask
         (``Radio.accepts_mask``), scattering the submasks back into radio
-        order.  Duck-typed receivers without an ``accepts_mask`` surface
-        fall back to the scalar ``_accepts_frame`` loop — as do Radio
-        subclasses that override the scalar reference without a batch
-        twin (their ``accepts_mask`` delegates elementwise).  Acceptance
-        draws no RNG, so grouping cannot perturb any seed stream; the
-        mask is elementwise identical to per-receiver ``_accepts_frame``.
+        order.  Acceptance draws no RNG, so grouping cannot perturb any
+        seed stream; the mask is elementwise identical to per-receiver
+        ``_accepts_frame``.
 
         ``mono`` is a caller-provided homogeneity proof: the mono-class
         registry entry for the one kind every radio in ``radios`` is
@@ -696,10 +652,7 @@ class Medium:
             else:
                 homogeneous = True
         if homogeneous:
-            batch = getattr(cls, "accepts_mask", None)
-            if batch is None:
-                return [radio._accepts_frame(frame) for radio in radios]
-            mask = batch(radios, frame, now)
+            mask = cls.accepts_mask(radios, frame, now)
             return mask if type(mask) is list else [bool(hit) for hit in mask]
         groups: Dict[type, List[int]] = {}
         for pos, radio in enumerate(radios):
@@ -707,11 +660,7 @@ class Medium:
         mask = [False] * len(radios)
         for cls, positions in groups.items():
             group = [radios[pos] for pos in positions]
-            batch = getattr(cls, "accepts_mask", None)
-            if batch is None:
-                submask = [radio._accepts_frame(frame) for radio in group]
-            else:
-                submask = batch(group, frame, now)
+            submask = cls.accepts_mask(group, frame, now)
             for pos, hit in zip(positions, submask):
                 mask[pos] = bool(hit)
         return mask
@@ -751,11 +700,7 @@ class Medium:
             return
         # One broadcast's receivers share the sender's kind, so the
         # mono-class registry entry for that kind is a homogeneity proof.
-        mono = (
-            self._mono_class.get(getattr(receivers[0], "kind", None))
-            if receivers
-            else None
-        )
+        mono = self._mono_class.get(receivers[0].kind) if receivers else None
         mask = self._acceptance_mask(receivers, frame, self.kernel.now, mono)
         self._deliver_masked(receivers, frame, distances, mask)
 
@@ -784,7 +729,7 @@ class Medium:
                 # a mono-class registry dispatches the class's batch
                 # delivery loop (one call instead of one per receiver).
                 cls = type(receivers[0])
-                if self._mono_class.get(getattr(receivers[0], "kind", None)) is cls:
+                if self._mono_class.get(receivers[0].kind) is cls:
                     cls.deliver_batch(receivers, frame, distances)
                 else:
                     for receiver, distance in zip(receivers, distances):

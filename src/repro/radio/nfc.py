@@ -104,9 +104,6 @@ class NfcRadio(Radio):
 
     @classmethod
     def accepts_mask(cls, radios, frame: Frame, now: float):
-        if cls._accepts_frame is not NfcRadio._accepts_frame:
-            # Scalar override without a batch twin: delegate elementwise.
-            return Radio.accepts_mask.__func__(cls, radios, frame, now)
         if frame.kind is not FrameKind.NFC_EXCHANGE:
             return [False] * len(radios)
         return [radio.enabled and radio._polling for radio in radios]

@@ -410,9 +410,6 @@ class WifiRadio(Radio):
 
     @classmethod
     def accepts_mask(cls, radios, frame: Frame, now: float):
-        if cls._accepts_frame is not WifiRadio._accepts_frame:
-            # Scalar override without a batch twin: delegate elementwise.
-            return Radio.accepts_mask.__func__(cls, radios, frame, now)
         if frame.kind is not FrameKind.WIFI_MULTICAST:
             return [False] * len(radios)
         mesh_name = frame.meta.get("mesh")

@@ -11,7 +11,7 @@ receiver's global node index and merged canonically by the coordinator.
 
 Determinism notes: the scenario draws *no* simulation randomness — BLE
 propagation is UnitDisk (certain delivery in range, no RNG), scanning is
-continuous duty (no scan-window draws), and every trajectory is a pure
+continuous (a scanner draws none), and every trajectory is a pure
 function of ``(seed, node_index)``.  Delivery times and distances are
 computed from the same floats in every shard and in the serial reference,
 so the canonical record streams match bit-for-bit.
@@ -46,9 +46,10 @@ class MirrorRadio:
     """A halo node's receive-only stand-in on a neighboring shard's medium.
 
     Duck-typed against the :class:`~repro.radio.base.Radio` surface the
-    medium touches (kind, node, enabled, ``_accepts_frame``, ``_deliver``)
-    without the device/energy machinery a real radio drags in — a mirror
-    exists only so in-range broadcasts resolve their receiver locally.
+    medium touches (kind, node, enabled, ``accepts_versioned``,
+    ``_accepts_frame``, ``accepts_mask``, ``_deliver``) without the
+    device/energy machinery a real radio drags in — a mirror exists only
+    so in-range broadcasts resolve their receiver locally.
     Its acceptance predicate matches the scenario's owned radios (enabled,
     continuously scanning), so a mirror hears a frame exactly when the
     real radio in the owner shard would have.
@@ -57,6 +58,7 @@ class MirrorRadio:
     kind = RadioKind.BLE
     is_mirror = True
     enabled = True
+    accepts_versioned = False
 
     __slots__ = ("node", "node_index", "_sink", "_medium_seq")
 
@@ -82,8 +84,6 @@ class MirrorRadio:
         # Batch twin of the constant predicate above: mirrors are always
         # enabled and always scanning, so the mask depends only on the
         # frame kind (same contract as Radio.accepts_mask).
-        if cls._accepts_frame is not MirrorRadio._accepts_frame:
-            return [radio._accepts_frame(frame) for radio in radios]
         return [frame.kind is FrameKind.BLE_ADVERTISEMENT] * len(radios)
 
     def _deliver(self, frame: Frame, distance: float) -> None:

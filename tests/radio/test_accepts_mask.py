@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.phy.geometry import Position
 from repro.phy.world import World
-from repro.radio.base import Device, Radio
+from repro.radio.base import Device
 from repro.radio.ble import BleRadio
 from repro.radio.frame import Frame, FrameKind
 from repro.radio.medium import Medium
@@ -176,44 +176,6 @@ def test_monitor_window_edge_is_strict(make_device, kernel):
     assert WifiRadio.accepts_mask([wifi], frame, kernel.now) == [False]
 
 
-def test_custom_scalar_override_uses_delegating_mask(kernel, world, medium):
-    class PickyBle(BleRadio):
-        def _accepts_frame(self, frame):
-            return (
-                super()._accepts_frame(frame) and len(frame.payload) < 4
-            )
-
-    node = world.add_node("picky", position=Position(0.0, 0.0))
-    device = Device(kernel, node)
-    radio = device.add_radio(PickyBle(device, medium))
-    radio.enable()
-    radio.start_scanning(_noop_handler)
-    short = Frame(FrameKind.BLE_ADVERTISEMENT, radio, b"abc", 0.0)
-    long = Frame(FrameKind.BLE_ADVERTISEMENT, radio, b"abcdef", 0.0)
-    # The subclass overrode the scalar reference without a batch twin:
-    # the inherited accepts_mask must delegate elementwise, never apply
-    # BleRadio's packed logic.
-    assert PickyBle.accepts_mask([radio], short, 0.0) == [True]
-    assert PickyBle.accepts_mask([radio], long, 0.0) == [False]
-    assert medium._acceptance_mask([radio], long, 0.0) == [False]
-
-
-def test_duck_typed_receiver_without_mask_uses_scalar_loop(medium):
-    class DuckRadio:
-        kind = BleRadio.kind
-        is_mirror = False
-
-        def __init__(self, accepts):
-            self._accepts = accepts
-
-        def _accepts_frame(self, frame):
-            return self._accepts
-
-    frame = Frame(FrameKind.BLE_ADVERTISEMENT, None, b"x", 0.0)
-    ducks = [DuckRadio(True), DuckRadio(False), DuckRadio(True)]
-    assert medium._acceptance_mask(ducks, frame, 0.0) == [True, False, True]
-
-
 def test_mirror_radio_mask_matches_scalar():
     accepted = Frame(FrameKind.BLE_ADVERTISEMENT, None, b"x", 0.0)
     rejected = Frame(FrameKind.NFC_EXCHANGE, None, b"x", 0.0)
@@ -221,19 +183,3 @@ def test_mirror_radio_mask_matches_scalar():
     for frame in (accepted, rejected):
         expected = [MirrorRadio._accepts_frame(m, frame) for m in mirrors]
         assert MirrorRadio.accepts_mask(mirrors, frame, 0.0) == expected
-
-
-def test_base_default_mask_delegates_elementwise(kernel, world, medium):
-    node = world.add_node("plain", position=Position(0.0, 0.0))
-    device = Device(kernel, node)
-
-    class PlainRadio(Radio):
-        kind = BleRadio.kind
-
-        def _deliver(self, frame, distance):
-            pass
-
-    radios = [PlainRadio(device, medium) for _ in range(3)]
-    radios[1].enable()
-    frame = Frame(FrameKind.BLE_ADVERTISEMENT, None, b"x", 0.0)
-    assert Radio.accepts_mask(radios, frame, 0.0) == [False, True, False]

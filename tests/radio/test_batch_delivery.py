@@ -4,9 +4,8 @@ The batch delivery event may skip its acceptance re-check (state
 versioning) and collapse per-receiver dispatch into one ``deliver_batch``
 call (mono-class registry) — each elision is only legal when it is
 provably unobservable.  These tests pin the observable side: in-flight
-state changes still drop frames exactly like the scalar reference,
-elided re-checks really are elided, scalar-only subclass overrides still
-run, and duty-cycled scanning stays byte-identical to the reference.
+state changes still drop frames exactly like the scalar reference, and
+elided re-checks really are elided.
 """
 
 from __future__ import annotations
@@ -14,11 +13,12 @@ from __future__ import annotations
 from repro.phy.geometry import Position
 from repro.phy.mobility import Static
 from repro.phy.world import World
-from repro.radio.base import Device, Radio
-from repro.radio.ble import BleRadio, ScanConfig
+from repro.radio.base import Device
+from repro.radio.ble import BleRadio
 from repro.radio.medium import Medium
 from repro.sim.kernel import Kernel
 from tests.reference_medium import ReferenceMedium
+
 
 class _CountingMedium(Medium):
     """Counts acceptance-stage invocations to observe re-check elision:
@@ -39,25 +39,18 @@ class _CountingMedium(Medium):
         self.rechecks += self.acceptance_calls - calls
 
 
-def _line_of_radios(kernel, medium, count, spacing=5.0, radio_cls=BleRadio):
-    world = medium.world
-    radios = []
-    for i in range(count):
-        node = world.add_node(
-            f"n{i}", mobility=Static(Position(i * spacing, 0.0))
-        )
-        device = Device(kernel, node)
-        radio = device.add_radio(radio_cls(device, medium))
-        radio.enable()
-        radios.append(radio)
-    return radios
-
-
-def _fresh_line(medium_cls=Medium, count=4):
+def _fresh_line(medium_cls=Medium):
+    """Four enabled BLE radios 5 m apart on a line."""
     kernel = Kernel(seed=11)
     world = World(kernel)
     medium = medium_cls(kernel, world)
-    radios = _line_of_radios(kernel, medium, count)
+    radios = []
+    for i in range(4):
+        node = world.add_node(f"n{i}", mobility=Static(Position(i * 5.0, 0.0)))
+        device = Device(kernel, node)
+        radio = device.add_radio(BleRadio(device, medium))
+        radio.enable()
+        radios.append(radio)
     return kernel, medium, radios
 
 
@@ -117,75 +110,3 @@ def test_unchanged_state_elides_the_delivery_recheck():
     assert medium.rechecks == 1
     assert [me for me, payload in heard if payload == b"churned"] == [1, 2]
     assert medium.frames_dropped == 1
-
-
-def test_deliver_batch_falls_back_for_scalar_only_overrides():
-    """A subclass that overrides ``_deliver`` without a batch twin must
-    still have its override run per receiver — ``deliver_batch`` detects
-    the redefinition and delegates elementwise."""
-    log = []
-
-    class TracingBle(BleRadio):
-        def _deliver(self, frame, distance):
-            log.append((self.device.name, distance))
-            super()._deliver(frame, distance)
-
-    kernel = Kernel(seed=11)
-    world = World(kernel)
-    medium = Medium(kernel, world)
-    radios = _line_of_radios(kernel, medium, 3, radio_cls=TracingBle)
-    heard = []
-    for radio in radios[1:]:
-        radio.start_scanning(
-            lambda payload, mac, distance: heard.append(payload)
-        )
-    radios[0].advertise_once(b"traced")
-    kernel.run_until(1.0)
-    assert log == [("n1", 5.0), ("n2", 10.0)]
-    assert heard == [b"traced", b"traced"]
-
-
-def test_duty_cycled_scanning_parity_across_paths():
-    """Mixed duty cycles make deliver_batch roll scan-window RNG per
-    duty-cycled receiver; records, counters, and every radio's
-    frames_heard must match the scalar reference."""
-
-    def run(medium_cls):
-        kernel = Kernel(seed=29)
-        world = World(kernel)
-        medium = medium_cls(kernel, world)
-        radios = _line_of_radios(kernel, medium, 8, spacing=3.0)
-        heard = []
-        for i, radio in enumerate(radios):
-            config = (
-                ScanConfig(window_s=0.5, interval_s=1.0)
-                if i % 2
-                else ScanConfig()
-            )
-            radio.start_scanning(
-                lambda payload, mac, distance, me=i: heard.append(
-                    (me, payload, distance)
-                ),
-                config,
-            )
-        for round_index in range(3):
-            kernel.run_until(float(round_index))
-            for i, radio in enumerate(radios):
-                radio.advertise_once(bytes([round_index, i]))
-        kernel.run_until(5.0)
-        return (
-            heard,
-            medium.frames_delivered,
-            medium.frames_dropped,
-            [radio.frames_heard for radio in radios],
-        )
-
-    vec = run(Medium)
-    scalar = run(ReferenceMedium)
-    assert vec == scalar
-    heard = vec[0]
-    assert heard  # deliveries happened
-    # Duty-cycled radios actually missed some frames (the RNG path ran):
-    # an odd-indexed radio heard fewer than the continuous ones.
-    heard_by = vec[3]
-    assert min(heard_by[1::2]) < min(heard_by[0::2])

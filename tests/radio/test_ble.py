@@ -3,11 +3,7 @@
 import pytest
 
 from repro.energy.constants import BLE_ADVERTISE_MA, BLE_SCAN_MA
-from repro.radio.ble import (
-    ADV_EVENT_DURATION_S,
-    ADV_PAYLOAD_LIMIT,
-    ScanConfig,
-)
+from repro.radio.ble import ADV_EVENT_DURATION_S, ADV_PAYLOAD_LIMIT
 from repro.radio.frame import RadioKind
 
 
@@ -119,22 +115,6 @@ def test_advertise_energy_pulse(kernel, make_device):
     kernel.run_until(1.0)
     expected = BLE_ADVERTISE_MA * ADV_EVENT_DURATION_S
     assert snapshot.charge_since() == pytest.approx(expected)
-
-
-def test_duty_cycled_scanning_reduces_draw_and_hears_less(kernel, make_device):
-    a = make_device("a", x=0, radios=("ble",))
-    b = make_device("b", x=5, radios=("ble",))
-    rx = b.radio(RadioKind.BLE)
-    heard = []
-    rx.start_scanning(lambda payload, mac, dist: heard.append(payload),
-                      config=ScanConfig(window_s=0.1, interval_s=1.0))
-    assert b.meter.current_ma == pytest.approx(BLE_SCAN_MA * 0.1)
-    a.radio(RadioKind.BLE).start_advertising(b"x", interval_s=0.1,
-                                             jitter_fraction=0.0)
-    kernel.run_until(50.0)
-    sent = a.radio(RadioKind.BLE).adv_events_sent
-    # Roughly 10% of events land in the scan window.
-    assert 0.02 < len(heard) / sent < 0.3
 
 
 def test_disable_stops_everything(kernel, pair):

@@ -1,12 +1,10 @@
-"""The candidate-batch cache counters and the oracle's event pool.
+"""The candidate-batch cache counters.
 
 The batch pipeline's candidate-gather reuse is observable without
 touching delivery semantics: ``batch_cache_hits``/``batch_cache_misses``
 count reuse per technology stamp — the attach/move version alone while
 none of the technology's radios can move, (timestamp, version) while one
-can.  The scalar reference medium
-recycles its per-receiver ``_Delivery`` shells through a pool — the same
-object identities serving successive transmissions.
+can.  The scalar reference medium never consults the cache.
 """
 
 from __future__ import annotations
@@ -27,7 +25,6 @@ def _population(medium_cls=Medium, count=3, spacing=1.0, linear=False):
     kernel = Kernel(seed=11)
     world = World(kernel)
     medium = medium_cls(kernel, world)
-    heard = []
     radios = []
     for i in range(count):
         start = Position(i * spacing, 0.0)
@@ -40,15 +37,13 @@ def _population(medium_cls=Medium, count=3, spacing=1.0, linear=False):
         device = Device(kernel, node)
         radio = device.add_radio(BleRadio(device, medium))
         radio.enable()
-        radio.start_scanning(
-            lambda payload, mac, distance, me=i: heard.append((me, payload))
-        )
+        radio.start_scanning(lambda payload, mac, distance: None)
         radios.append(radio)
-    return kernel, medium, radios, heard
+    return kernel, medium, radios
 
 
 def test_same_cell_senders_share_one_gather():
-    kernel, medium, radios, _ = _population()
+    kernel, medium, radios = _population()
     assert (medium.batch_cache_hits, medium.batch_cache_misses) == (0, 0)
     radios[0].advertise_once(b"a")
     assert (medium.batch_cache_hits, medium.batch_cache_misses) == (0, 1)
@@ -61,7 +56,7 @@ def test_same_cell_senders_share_one_gather():
 def test_clock_advance_invalidates_the_batch_cache():
     # One Linear node makes the whole technology a mover: its positions
     # are only good for one instant.
-    kernel, medium, radios, _ = _population(linear=True)
+    kernel, medium, radios = _population(linear=True)
     radios[0].advertise_once(b"a")
     kernel.run_until(1.0)
     radios[0].advertise_once(b"b")
@@ -70,7 +65,7 @@ def test_clock_advance_invalidates_the_batch_cache():
 
 def test_static_kind_keeps_its_batch_across_instants():
     # No radio of the technology can move: the batch outlives the instant.
-    kernel, medium, radios, _ = _population()
+    kernel, medium, radios = _population()
     radios[0].advertise_once(b"a")
     assert (medium.batch_cache_hits, medium.batch_cache_misses) == (0, 1)
     kernel.run_until(1.0)
@@ -79,7 +74,7 @@ def test_static_kind_keeps_its_batch_across_instants():
 
 
 def test_attach_invalidates_the_batch_cache():
-    kernel, medium, radios, _ = _population()
+    kernel, medium, radios = _population()
     radios[0].advertise_once(b"a")
     node = medium.world.add_node("late", position=Position(0.5, 0.0))
     device = Device(kernel, node)
@@ -90,22 +85,8 @@ def test_attach_invalidates_the_batch_cache():
     assert (medium.batch_cache_hits, medium.batch_cache_misses) == (0, 2)
 
 
-def test_scalar_shells_recycle_through_the_pool():
-    kernel, medium, radios, heard = _population(ReferenceMedium)
-    radios[0].advertise_once(b"a")
-    kernel.run_until(1.0)
-    delivered = len([1 for _, payload in heard if payload == b"a"])
-    assert delivered == 2  # both neighbors in range
-    assert len(medium._delivery_pool) == 2
-    shells = set(map(id, medium._delivery_pool))
-    radios[1].advertise_once(b"b")
-    assert medium._delivery_pool == []  # both shells back in flight
-    kernel.run_until(2.0)
-    assert set(map(id, medium._delivery_pool)) == shells
-
-
 def test_counters_survive_on_scalar_medium_untouched():
-    kernel, medium, radios, _ = _population(ReferenceMedium)
+    kernel, medium, radios = _population(ReferenceMedium)
     radios[0].advertise_once(b"a")
     kernel.run_until(1.0)
     # The scalar reference never consults the batch cache.

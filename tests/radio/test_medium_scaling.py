@@ -4,11 +4,11 @@ The binned gather exists so that a broadcast examines the few radios in
 its neighbourhood instead of every radio of its technology, and so that
 radios are positioned once per stamp instead of once per broadcast (see
 the ``repro.radio.medium`` docstring).  These tests count that work on
-fixed layouts — candidates examined per broadcast, ``position_at`` calls
-and batch-cache misses — so a regression that turns pruning or caching
-off fails here on any host, however fast.  The scalar reference medium
-(``tests/reference_medium.py``) examines every other radio of the
-technology per broadcast: 199 on these 200-radio layouts.
+fixed layouts — candidates examined per broadcast, ``position_at`` and
+``max_speed`` calls, and batch-cache misses — so a regression that turns
+pruning or caching off fails here on any host, however fast.  The scalar
+reference medium (``tests/reference_medium.py``) examines every other
+radio of the technology per broadcast: 199 on these 200-radio layouts.
 
 The last test holds the production medium to that oracle, and to a
 4-shard process run, at the density of the 2,000-scanner perfbench
@@ -64,19 +64,19 @@ class _CountingMedium(Medium):
         return batch
 
 
-def _count_positions(monkeypatch: pytest.MonkeyPatch) -> list:
-    """Count every ``position_at`` call, as perfbench's tracer does: wrap
-    the method on each mobility class that defines it."""
+def _count_calls(monkeypatch: pytest.MonkeyPatch, method: str) -> list:
+    """Count every call of a mobility ``method``, as perfbench's tracer
+    does: wrap it on each mobility class that defines it."""
     calls = [0]
     for cls in (mobility.MobilityModel, mobility.Static, mobility.Linear,
                 mobility.WaypointPath, mobility.RandomWaypoint):
-        original = cls.__dict__["position_at"]
+        original = cls.__dict__[method]
 
-        def counted(self, time, original=original):
+        def counted(self, *args, original=original):
             calls[0] += 1
-            return original(self, time)
+            return original(self, *args)
 
-        monkeypatch.setattr(cls, "position_at", counted)
+        monkeypatch.setattr(cls, method, counted)
     return calls
 
 
@@ -90,7 +90,8 @@ def _scanner(kernel: Kernel, node, medium: Medium) -> BleRadio:
 
 def test_static_layout_positions_once_and_prunes(monkeypatch):
     """200 fixed scanners, 40 rounds at advancing instants: one position
-    pass and one gather per occupied cell for the whole run."""
+    pass, one mover check and one gather per occupied cell for the whole
+    run."""
     kernel = Kernel(seed=5)
     world = World(kernel)
     medium = _CountingMedium(kernel, world)
@@ -102,7 +103,8 @@ def test_static_layout_positions_once_and_prunes(monkeypatch):
         )
         node = world.add_node(f"n{i}", position=position)
         radios.append(_scanner(kernel, node, medium))
-    positions = _count_positions(monkeypatch)
+    positions = _count_calls(monkeypatch, "position_at")
+    speed_reads = _count_calls(monkeypatch, "max_speed")
     for round_index in range(40):
         kernel.run_until(float(round_index))
         for radio in radios:
@@ -111,13 +113,15 @@ def test_static_layout_positions_once_and_prunes(monkeypatch):
     assert medium.frames_sent == NODE_COUNT * 40
     assert medium.frames_delivered > 0
     assert positions[0] == NODE_COUNT
+    assert speed_reads[0] <= NODE_COUNT
     assert medium.batch_cache_misses <= NODE_COUNT
     assert medium.candidates <= MAX_CANDIDATES_PER_BROADCAST * medium.frames_sent
 
 
 def test_all_mobile_layout_positions_once_per_instant_and_prunes(monkeypatch):
     """200 walkers beaconing at 20 instants: each walker is positioned
-    once per instant, never once per broadcast."""
+    once per instant, never once per broadcast, and the first walker
+    proves the technology a mover once for the whole run."""
     kernel = Kernel(seed=9)
     world = World(kernel)
     medium = _CountingMedium(kernel, world)
@@ -131,7 +135,8 @@ def test_all_mobile_layout_positions_once_per_instant_and_prunes(monkeypatch):
         )
         node = world.add_node(f"m{i}", mobility=walk)
         radios.append(_scanner(kernel, node, medium))
-    positions = _count_positions(monkeypatch)
+    positions = _count_calls(monkeypatch, "position_at")
+    speed_reads = _count_calls(monkeypatch, "max_speed")
     for round_index in range(20):
         kernel.run_until(2.0 * (round_index + 1))
         for radio in radios:
@@ -140,6 +145,7 @@ def test_all_mobile_layout_positions_once_per_instant_and_prunes(monkeypatch):
     assert medium.frames_sent == NODE_COUNT * 20
     assert medium.frames_delivered > 0
     assert positions[0] == NODE_COUNT * 20
+    assert speed_reads[0] <= 2
     assert medium.candidates <= MAX_CANDIDATES_PER_BROADCAST * medium.frames_sent
 
 

@@ -3,13 +3,14 @@
 ``Medium`` keys a technology's position arrays and cell batches on the
 attach/move version alone while every attached radio of it has
 ``max_speed() == 0.0``, and on (timestamp, version) once one of them can
-move.  These tests hold that cache to the scalar oracle
+move.  These tests check, through the batch-cache counters, that a
+technology's batch outlives an instant exactly when none of its radios
+can move, and hold that cache to the scalar oracle
 (:mod:`tests.reference_medium`) under churn — attaches, detaches,
 teleports, a ferry that leaves on a ``WaypointPath`` and docks again,
-power and scan toggles — and check the incrementally kept mover count
-against a brute-force recount after every step.  A Hypothesis test pins
-the cell edges that long-lived batches rely on, and the coordinate limit
-beyond which the packed cell id would wrap.
+power and scan toggles.  A Hypothesis test pins the cell edges that
+long-lived batches rely on, and the coordinate limit beyond which the
+packed cell id would wrap.
 """
 
 from __future__ import annotations
@@ -47,12 +48,22 @@ class _Wobble(MobilityModel):
         return Position(self.x + 3.0 * math.sin(time), self.y)
 
 
-def _recount(medium: Medium, kind: RadioKind) -> int:
-    """Attached radios of ``kind`` whose node can move, counted one by one."""
-    return sum(
-        1 for radio in medium.radios(kind)
-        if not radio.node.mobility.max_speed() == 0.0
+def _has_mover(medium: Medium, kind: RadioKind) -> bool:
+    """Whether any attached radio of ``kind`` sits on a node that can move."""
+    return any(
+        not radio.node.mobility.max_speed() == 0.0
+        for radio in medium.radios(kind)
     )
+
+
+def _batch_spans_instants(kernel: Kernel, medium: Medium, radio) -> bool:
+    """Whether ``radio``'s technology reuses its cell batch one instant
+    later, with nothing attached, detached or moved in between."""
+    medium.reachable_from(radio)
+    hits = medium.batch_cache_hits
+    kernel.run_until(kernel.now + 0.25)
+    medium.reachable_from(radio)
+    return medium.batch_cache_hits > hits
 
 
 @pytest.mark.parametrize(
@@ -70,22 +81,32 @@ def _recount(medium: Medium, kind: RadioKind) -> int:
          "no-speed-bound"],
 )
 def test_mover_count_follows_max_speed(kernel, world, medium, model, moving):
+    """A technology's batch spans instants iff none of its radios can
+    move, as one node's mobility changes and its BLE radio detaches.  The
+    batches are queried from a fixed anchor, so only the stamp decides."""
+    anchor = Device(kernel, world.add_node("a", position=Position(0.0, 0.0)))
+    probes = {
+        kind: anchor.add_radio(cls(anchor, medium))
+        for kind, cls in zip(KINDS, (BleRadio, WifiRadio))
+    }
     node = world.add_node("x", mobility=model)
     device = Device(kernel, node)
     device.add_radio(BleRadio(device, medium))
     device.add_radio(WifiRadio(device, medium))
-    expected = {kind: int(moving) for kind in KINDS}
-    assert {kind: medium._movers[kind] for kind in KINDS} == expected
-    node.move_to(Position(0.0, 0.0))
-    assert {kind: medium._movers[kind] for kind in KINDS} == {
-        kind: 0 for kind in KINDS
-    }
+
+    def spans():
+        return {
+            kind: _batch_spans_instants(kernel, medium, probes[kind])
+            for kind in KINDS
+        }
+
+    assert spans() == {kind: not moving for kind in KINDS}
+    node.move_to(Position(1.0, 2.0))
+    assert spans() == {kind: True for kind in KINDS}
     node.set_mobility(model)
-    assert {kind: medium._movers[kind] for kind in KINDS} == expected
+    assert spans() == {kind: not moving for kind in KINDS}
     medium.detach(device.radios[RadioKind.BLE])
-    assert (medium._movers[RadioKind.BLE], medium._movers[RadioKind.WIFI]) == (
-        0, int(moving)
-    )
+    assert spans() == {RadioKind.BLE: True, RadioKind.WIFI: not moving}
 
 
 def test_each_technology_keeps_its_own_stamp(kernel, world, medium):
@@ -264,9 +285,7 @@ def _churn(propagation, steps=400):
                         universe.scan(name)
         else:  # reach: neighbour sets must agree at this instant
             assert oracle.reach(name) == batch.reach(name)
-        for kind in KINDS:
-            assert batch.medium._movers[kind] == _recount(batch.medium, kind)
-        regimes[batch.medium._movers[RadioKind.BLE] > 0] += 1
+        regimes[_has_mover(batch.medium, RadioKind.BLE)] += 1
     for universe in both:
         universe.kernel.run_until(universe.kernel.now + 5.0)
     return oracle, batch, regimes

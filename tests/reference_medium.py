@@ -19,6 +19,7 @@ medium) on the oracle, monkeypatch that module's ``Medium`` name.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import List
 
 from repro.phy.propagation import frame_delivered
@@ -27,41 +28,8 @@ from repro.radio.frame import Frame
 from repro.radio.medium import PROPAGATION_DELAY_S, Medium
 
 
-class _Delivery:
-    """One scheduled frame arrival: a pooled, preallocated callable.
-
-    On firing, the payload moves to locals, the slots are cleared, and
-    the shell returns to ``ReferenceMedium._delivery_pool`` *before* the
-    delivery side effects run — kernel events are one-shot, so a nested
-    broadcast inside ``_deliver`` may safely repopulate the shell.
-    """
-
-    __slots__ = ("medium", "receiver", "frame", "distance")
-
-    def __init__(self, medium: "ReferenceMedium", receiver: Radio,
-                 frame: Frame, distance: float) -> None:
-        self.medium = medium
-        self.receiver = receiver
-        self.frame = frame
-        self.distance = distance
-
-    def __call__(self) -> None:
-        medium = self.medium
-        receiver = self.receiver
-        frame = self.frame
-        distance = self.distance
-        self.receiver = None
-        self.frame = None
-        medium._delivery_pool.append(self)
-        medium._execute_delivery(receiver, frame, distance)
-
-
 class ReferenceMedium(Medium):
     """A medium that broadcasts one receiver at a time, scanning linearly."""
-
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self._delivery_pool: List[_Delivery] = []
 
     def reachable_from(self, sender: Radio) -> List[Radio]:
         model = self.propagation[sender.kind]
@@ -88,23 +56,12 @@ class ReferenceMedium(Medium):
                 continue
             if not receiver._accepts_frame(frame):
                 continue
-            self._schedule_delivery(receiver, frame, distance, delay)
+            self.kernel.call_in(
+                delay,
+                partial(self._execute_delivery, receiver, frame, distance),
+            )
             scheduled += 1
         return scheduled
-
-    def _schedule_delivery(
-        self, receiver: Radio, frame: Frame, distance: float, delay: float
-    ) -> None:
-        """Schedule one arrival, recycling a pooled event shell if available."""
-        pool = self._delivery_pool
-        if pool:
-            event = pool.pop()
-            event.receiver = receiver
-            event.frame = frame
-            event.distance = distance
-        else:
-            event = _Delivery(self, receiver, frame, distance)
-        self.kernel.call_in(delay, event)
 
     def _execute_delivery(self, receiver: Radio, frame: Frame,
                           distance: float) -> None:
