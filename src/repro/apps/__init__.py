@@ -8,7 +8,6 @@ from repro.apps.disseminate import (
 )
 from repro.apps.prophet import (
     Bundle,
-    ProphetConfig,
     ProphetNode,
     decode_summary,
     encode_summary,
@@ -28,7 +27,6 @@ __all__ = [
     "FilePlan",
     "LandmarkBeacon",
     "OmniTransport",
-    "ProphetConfig",
     "ProphetNode",
     "TourGuide",
     "TouristApp",

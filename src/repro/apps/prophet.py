@@ -26,7 +26,7 @@ the Practice, the State of the Art, and Omni.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.apps.transport import D2DTransport
@@ -36,18 +36,8 @@ from repro.sim.kernel import Kernel
 P_INIT = 0.75
 GAMMA = 0.98  # aging factor per second
 BETA = 0.25  # transitivity damping
-
-
-@dataclass
-class ProphetConfig:
-    """Tunables of the PRoPHET router."""
-
-    p_init: float = P_INIT
-    gamma: float = GAMMA
-    beta: float = BETA
-    summary_top_k: int = 1  # predictability entries per summary (BLE budget)
-    encounter_refractory_s: float = 5.0  # one encounter credit per meeting
-    forward_margin: float = 0.0  # peer must beat us by this much
+SUMMARY_TOP_K = 1  # predictability entries per summary (BLE budget)
+ENCOUNTER_REFRACTORY_S = 5.0  # one encounter credit per meeting
 
 
 @dataclass
@@ -117,11 +107,9 @@ def decode_summary(raw: bytes) -> Optional[Tuple[Dict[int, float], Set[int]]]:
 class ProphetNode:
     """One PRoPHET router instance on top of a transport."""
 
-    def __init__(self, kernel: Kernel, transport: D2DTransport,
-                 config: Optional[ProphetConfig] = None) -> None:
+    def __init__(self, kernel: Kernel, transport: D2DTransport) -> None:
         self.kernel = kernel
         self.transport = transport
-        self.config = config or ProphetConfig()
         self._predictability: Dict[int, float] = {}
         self._updated_at: Dict[int, float] = {}
         self._last_encounter: Dict[int, float] = {}
@@ -163,7 +151,7 @@ class ProphetNode:
             return 0.0
         elapsed = self.kernel.now - self._updated_at.get(dest_id, self.kernel.now)
         if elapsed > 0:
-            probability *= self.config.gamma ** elapsed
+            probability *= GAMMA ** elapsed
         return probability
 
     def _set_predictability(self, dest_id: int, probability: float) -> None:
@@ -178,13 +166,13 @@ class ProphetNode:
     def _credit_encounter(self, peer_id: int) -> None:
         last = self._last_encounter.get(peer_id)
         now = self.kernel.now
-        if last is not None and now - last < self.config.encounter_refractory_s:
+        if last is not None and now - last < ENCOUNTER_REFRACTORY_S:
             self._last_encounter[peer_id] = now
             return
         self._last_encounter[peer_id] = now
         current = self.predictability_for(peer_id)
         self._set_predictability(
-            peer_id, current + (1.0 - current) * self.config.p_init
+            peer_id, current + (1.0 - current) * P_INIT
         )
         self._advertise()
 
@@ -197,7 +185,7 @@ class ProphetNode:
         for dest_id, p_bc in peer_predictability.items():
             if dest_id == self.local_id:
                 continue
-            candidate = p_ab * p_bc * self.config.beta
+            candidate = p_ab * p_bc * BETA
             if candidate > self.predictability_for(dest_id):
                 self._set_predictability(dest_id, candidate)
                 changed = True
@@ -238,7 +226,7 @@ class ProphetNode:
             if not is_destination:
                 ours = self.predictability_for(bundle.destination_id)
                 theirs = peer_predictability.get(bundle.destination_id, 0.0)
-                if theirs <= ours + self.config.forward_margin:
+                if theirs <= ours:
                     continue
             self._forwarded.add(key)
             envelope = VirtualPayload(
@@ -311,6 +299,6 @@ class ProphetNode:
                 for dest in self._predictability
             ),
             key=lambda item: -item[1],
-        )[: self.config.summary_top_k]
+        )[:SUMMARY_TOP_K]
         bundle_ids = sorted(self.buffer)[:8]
         self.transport.set_metadata(encode_summary(entries, bundle_ids))

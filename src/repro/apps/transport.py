@@ -28,6 +28,10 @@ MetadataCallback = Callable[[int, bytes], None]
 ReceiveCallback = Callable[[int, Payload], None]
 ResultCallback = Callable[[bool, str], None]
 
+#: How often Omni re-sends an application's metadata context: the period of
+#: the address beacon and of the baselines' discovery.
+METADATA_INTERVAL_S = 0.5
+
 
 class D2DTransport:
     """What an application needs from a D2D communication system."""
@@ -79,10 +83,8 @@ class D2DTransport:
 class OmniTransport(D2DTransport):
     """The paper's system: applications talk to the OmniManager."""
 
-    def __init__(self, manager: OmniManager,
-                 metadata_interval_s: float = 0.5) -> None:
+    def __init__(self, manager: OmniManager) -> None:
         self.manager = manager
-        self.metadata_interval_s = metadata_interval_s
         self._metadata_context_id: Optional[str] = None
         self._pending_metadata: Optional[bytes] = None
 
@@ -98,7 +100,7 @@ class OmniTransport(D2DTransport):
         self.manager.disable()
 
     def set_metadata(self, payload: bytes) -> None:
-        params = {"interval_s": self.metadata_interval_s}
+        params = {"interval_s": METADATA_INTERVAL_S}
         if self._metadata_context_id is not None:
             self.manager.update_context(self._metadata_context_id, params, payload, None)
             return

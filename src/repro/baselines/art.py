@@ -53,7 +53,6 @@ class SaSystem(D2DTransport):
         self,
         device: Device,
         mesh: MeshNetwork,
-        discovery_interval_s: float = 0.5,
         data_tech: str = "auto",  # "auto" | "ble" | "wifi"
     ) -> None:
         if data_tech not in ("auto", "ble", "wifi"):
@@ -73,17 +72,12 @@ class SaSystem(D2DTransport):
         self.has_wifi = device.has_radio(RadioKind.WIFI)
         self.ble_discovery: Optional[BleDiscovery] = None
         if self.has_ble:
-            self.ble_discovery = BleDiscovery(
-                self.kernel, device.radio(RadioKind.BLE), discovery_interval_s
-            )
+            self.ble_discovery = BleDiscovery(self.kernel, device.radio(RadioKind.BLE))
         self.announcer: Optional[MulticastAnnouncer] = None
         self.unicast_path: Optional[WifiUnicastPath] = None
         if self.has_wifi:
             radio = device.radio(RadioKind.WIFI)
-            self.announcer = MulticastAnnouncer(
-                radio, mesh, self._wifi_discovery_payload,
-                interval_s=discovery_interval_s,
-            )
+            self.announcer = MulticastAnnouncer(radio, mesh, self._wifi_discovery_payload)
             self.unicast_path = WifiUnicastPath(self.kernel, radio, mesh, self.directory)
 
     @property

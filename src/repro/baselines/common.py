@@ -20,6 +20,7 @@ from typing import Any, Callable, Dict, List, Optional
 
 from repro.core.address import OmniAddress
 from repro.net.addresses import MacAddress, MeshAddress
+from repro.net.announcer import DISCOVERY_INTERVAL_S
 from repro.net.ble_transport import (
     BleBurstSender,
     BleReassembler,
@@ -267,10 +268,9 @@ class WifiUnicastPath:
 class BleDiscovery:
     """Advertise a discovery payload on BLE and scan for peers'."""
 
-    def __init__(self, kernel: Kernel, radio: BleRadio, interval_s: float = 0.5) -> None:
+    def __init__(self, kernel: Kernel, radio: BleRadio) -> None:
         self.kernel = kernel
         self.radio = radio
-        self.interval_s = interval_s
         self.burst = BleBurstSender(radio)
         self._reassembler = BleReassembler(self._on_message)
         self._adv_set = None
@@ -294,7 +294,7 @@ class BleDiscovery:
                 "one BLE advertisement"
             )
         if self._adv_set is None:
-            self._adv_set = self.radio.start_advertising(frames[0], self.interval_s)
+            self._adv_set = self.radio.start_advertising(frames[0], DISCOVERY_INTERVAL_S)
         else:
             self._adv_set.update(payload=frames[0])
 

@@ -7,9 +7,9 @@ application will use only one technology for both context and data".
 - :class:`SpBleSystem` — BLE only.  The WiFi radio is powered off entirely,
   which is why the SP row of Table 4 shows *negative* relative energy.
 - :class:`SpWifiSystem` — WiFi-Mesh only.  Discovery is hand-programmed
-  application multicast every 500 ms (with periodic re-scans); data goes
-  over unicast TCP after the expensive scan/join/refresh sequence, or over
-  slow multicast when ``multicast_data=True`` (the Disseminate SP mode).
+  application multicast every 500 ms; data goes over unicast TCP after the
+  expensive scan/join/refresh sequence, or over slow multicast when
+  ``multicast_data=True`` (the Disseminate SP mode).
 """
 
 from __future__ import annotations
@@ -46,16 +46,12 @@ from repro.radio.wifi import WifiRadio
 class SpBleSystem(D2DTransport):
     """Hand-coded BLE-only application networking."""
 
-    def __init__(self, device: Device, discovery_interval_s: float = 0.5,
-                 power_off_wifi: bool = True) -> None:
+    def __init__(self, device: Device) -> None:
         self.device = device
         self.kernel = device.kernel
         self._id = derive_device_id(device)
-        self.discovery = BleDiscovery(
-            self.kernel, device.radio(RadioKind.BLE), discovery_interval_s
-        )
+        self.discovery = BleDiscovery(self.kernel, device.radio(RadioKind.BLE))
         self.directory = BaselineDirectory(self.kernel)
-        self.power_off_wifi = power_off_wifi
         self._metadata = b""
         self._metadata_callbacks: List[MetadataCallback] = []
         self._receive_callbacks: List[ReceiveCallback] = []
@@ -69,7 +65,7 @@ class SpBleSystem(D2DTransport):
         if self.started:
             return
         self.started = True
-        if self.power_off_wifi and self.device.has_radio(RadioKind.WIFI):
+        if self.device.has_radio(RadioKind.WIFI):
             wifi = self.device.radio(RadioKind.WIFI)
             if wifi.enabled:
                 wifi.disable()  # the SP BLE app needs no WiFi at all
@@ -154,7 +150,6 @@ class SpWifiSystem(D2DTransport):
     """Hand-coded WiFi-Mesh-only application networking."""
 
     def __init__(self, device: Device, mesh: MeshNetwork,
-                 discovery_interval_s: float = 0.5,
                  multicast_data: bool = False) -> None:
         self.device = device
         self.kernel = device.kernel
@@ -162,9 +157,7 @@ class SpWifiSystem(D2DTransport):
         self._id = derive_device_id(device)
         self.radio: WifiRadio = device.radio(RadioKind.WIFI)
         self.directory = BaselineDirectory(self.kernel)
-        self.announcer = MulticastAnnouncer(
-            self.radio, mesh, self._discovery_payload, interval_s=discovery_interval_s
-        )
+        self.announcer = MulticastAnnouncer(self.radio, mesh, self._discovery_payload)
         self.unicast_path = WifiUnicastPath(self.kernel, self.radio, mesh, self.directory)
         self.multicast_data = multicast_data
         self._metadata = b""

@@ -2,7 +2,6 @@
 
 from repro.comm.ble_tech import BleBeaconTech
 from repro.comm.nfc_tech import NfcTapTech
-from repro.comm.stack import StackConfig, build_device, build_omni
 from repro.comm.wifi_multicast_tech import WifiMulticastTech
 from repro.comm.wifi_tcp_tech import RESOLUTION_WAIT_S, WifiTcpTech
 
@@ -10,9 +9,6 @@ __all__ = [
     "BleBeaconTech",
     "NfcTapTech",
     "RESOLUTION_WAIT_S",
-    "StackConfig",
     "WifiMulticastTech",
     "WifiTcpTech",
-    "build_device",
-    "build_omni",
 ]

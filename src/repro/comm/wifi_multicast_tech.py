@@ -5,8 +5,7 @@ used by state of the art solutions for address sharing and service
 discovery" (paper Sec 3.2).  Its costs are what make multicast impractical
 for continuous discovery on power-constrained devices:
 
-- carrying context requires joining (and staying joined to) a mesh and
-  periodically re-scanning for changed surroundings;
+- carrying context requires joining (and staying joined to) a mesh;
 - every periodic multicast costs a 40 ms radio-wake pulse and consumes
   channel airtime, depressing concurrent TCP throughput;
 - bulk data rides the slow multicast pool (802.11 multicast anomaly).
@@ -36,11 +35,6 @@ from repro.radio.wifi import (
 )
 from repro.sim.kernel import Kernel, PeriodicTask
 
-#: How often the adapter re-scans while actively using multicast.  Disabled
-#: by default, matching the announcer (see repro.net.announcer); set per
-#: adapter instance for the dynamic-environment ablation.
-RESCAN_PERIOD_S = 0.0
-
 
 @dataclass
 class _ActiveContext:
@@ -54,17 +48,14 @@ class WifiMulticastTech(TechnologyAdapter):
 
     tech_type = TechType.WIFI_MULTICAST
 
-    def __init__(self, kernel: Kernel, radio: WifiRadio, mesh: MeshNetwork,
-                 rescan_period_s: float = RESCAN_PERIOD_S) -> None:
+    def __init__(self, kernel: Kernel, radio: WifiRadio, mesh: MeshNetwork) -> None:
         super().__init__(kernel)
         self.radio = radio
         self.mesh = mesh
-        self.rescan_period_s = rescan_period_s
         self._contexts: Dict[str, _ActiveContext] = {}
         self._listening = False
         self._joining = False
         self._join_waiters = []
-        self._rescan_task: Optional[PeriodicTask] = None
 
     # -- contract ------------------------------------------------------------
 
@@ -86,7 +77,6 @@ class WifiMulticastTech(TechnologyAdapter):
             self.mesh.channel.clear_overhead(self._overhead_key(active.request.context_id))
         self._contexts.clear()
         self.stop_listening()
-        self._stop_rescans()
 
     # -- mesh membership --------------------------------------------------
 
@@ -112,28 +102,12 @@ class WifiMulticastTech(TechnologyAdapter):
             on_joined
         )
 
-    def _start_rescans(self) -> None:
-        if self.rescan_period_s > 0 and self._rescan_task is None:
-            self._rescan_task = self.kernel.every(
-                self.rescan_period_s, self._rescan, start_after=self.rescan_period_s
-            )
-
-    def _stop_rescans(self) -> None:
-        if self._rescan_task is not None and not self._contexts and not self._listening:
-            self._rescan_task.cancel()
-            self._rescan_task = None
-
-    def _rescan(self) -> None:
-        if self.radio.enabled:
-            self.radio.scan(SCAN_DURATION_S)
-
     # -- context listening -----------------------------------------------------
 
     def start_listening(self) -> None:
         if self._listening:
             return
         self._listening = True
-        self._start_rescans()
         self._ensure_joined(lambda: self.radio.on_multicast(self._on_multicast))
 
     def stop_listening(self) -> None:
@@ -141,7 +115,6 @@ class WifiMulticastTech(TechnologyAdapter):
             return
         self._listening = False
         self.radio.on_multicast(None)
-        self._stop_rescans()
 
     def listen_window(self, duration_s: float) -> None:
         # A monitor window needs no mesh membership — this is what keeps
@@ -181,7 +154,6 @@ class WifiMulticastTech(TechnologyAdapter):
             self.mesh.channel.set_overhead(
                 self._overhead_key(request.context_id), MULTICAST_AIRTIME_S / interval
             )
-            self._start_rescans()
             self._respond(request, StatusCode.ADD_CONTEXT_SUCCESS, request.context_id)
 
         self._ensure_joined(begin)
@@ -222,7 +194,6 @@ class WifiMulticastTech(TechnologyAdapter):
             return
         active.task.cancel()
         self.mesh.channel.clear_overhead(self._overhead_key(request.context_id))
-        self._stop_rescans()
         self._respond(request, StatusCode.REMOVE_CONTEXT_SUCCESS, request.context_id)
 
     def _handle_send_data(self, request: SendRequest) -> None:

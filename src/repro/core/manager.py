@@ -44,6 +44,10 @@ from repro.sim.queues import SimQueue
 #: Context id namespace for the hidden system beacon registration.
 _BEACON_CONTEXT_NS = "omni-beacon"
 
+#: How often the manager drops peers not heard from within
+#: ``OmniConfig.peer_staleness_s``.
+EXPIRE_PERIOD_S = 2.0
+
 
 @dataclass
 class OmniConfig:
@@ -53,7 +57,6 @@ class OmniConfig:
     secondary_listen_period_s: float = 5.0  # "much lower frequency (e.g. every 5s)"
     secondary_listen_window_s: float = 0.05
     peer_staleness_s: float = 10.0
-    expire_period_s: float = 2.0
     selection_policy: str = "expected_time"  # see repro.core.selection.POLICIES
     # Optional shared-key protection of application context (paper Sec 3.4);
     # None = plaintext. Address beacons are never encrypted.
@@ -158,9 +161,7 @@ class OmniManager:
         self._loops.append(self.kernel.spawn(self._response_loop(), name="omni-resp"))
         self._register_address_beacon()
         self.beacon_service.start()
-        self._expire_task = self.kernel.every(
-            self.config.expire_period_s, self._expire_peers
-        )
+        self._expire_task = self.kernel.every(EXPIRE_PERIOD_S, self._expire_peers)
         if self.config.adaptive_beacon is not None:
             from repro.core.adaptive import AdaptiveBeaconController
 

@@ -141,28 +141,18 @@ class EnergyMeter:
         self._integrate()
         return self._charge_mas
 
-    def average_ma(
-        self,
-        *,
-        since: "EnergySnapshot",
-        floor_ma: float = 0.0,
-    ) -> float:
-        """Average draw over a window, snapshot-based.
+    def average_ma(self, *, since: "EnergySnapshot") -> float:
+        """Average draw (mA) from ``since``, a :meth:`snapshot`, until now.
 
-        ``meter.average_ma(since=snapshot, floor_ma=...)`` with a snapshot
-        from :meth:`snapshot`; ``floor_ma`` subtracts a baseline (the paper
-        reports draws relative to WiFi standby).  A zero-length window
-        degenerates to the instantaneous draw.
-
-        The old two-float form ``average_ma(since_time, since_charge_mas)``
-        completed its deprecation cycle and was removed; the keyword-only
-        signature makes any straggler a ``TypeError``.
+        A zero-length window degenerates to the instantaneous draw.  The
+        paper's draws relative to WiFi standby are
+        :attr:`~repro.energy.report.EnergyReport.average_ma_relative`.
         """
         elapsed = self.kernel.now - since.time
         if elapsed <= 0:
-            return self.current_ma - floor_ma
+            return self.current_ma
         charge = self.total_charge_mas() - since.charge_mas
-        return charge / elapsed - floor_ma
+        return charge / elapsed
 
     def snapshot(self) -> "EnergySnapshot":
         """Capture (time, charge) for later windowed averages."""
@@ -212,16 +202,3 @@ class EnergySnapshot:
     def charge_since(self) -> float:
         """Charge in mAs consumed since the snapshot."""
         return self._meter.total_charge_mas() - self.charge_mas
-
-    def average_ma(self, relative_to_floor: float = 0.0) -> float:
-        """Average draw since the snapshot, optionally minus a floor.
-
-        The paper reports energy as "average mA relative to baseline
-        operation" — pass the scenario's floor (typically WiFi standby) as
-        ``relative_to_floor`` to reproduce that metric, including negative
-        values when a radio was switched off entirely (Table 4, SP/BLE row).
-        """
-        elapsed = self.elapsed()
-        if elapsed <= 0:
-            return self._meter.current_ma - relative_to_floor
-        return self.charge_since() / elapsed - relative_to_floor

@@ -15,8 +15,9 @@ class EnergyReport:
 
     Attributes mirror the paper's reporting:
 
-    - ``average_ma_relative``: mean draw minus the WiFi-standby floor
-      (Table 4's "Total Energy (avg. mA)"; negative when WiFi was off).
+    - ``average_ma_relative``: mean draw minus the WiFi-standby floor, the
+      paper's "average mA relative to baseline operation" (Table 4's "Total
+      Energy (avg. mA)"; negative when WiFi was off, the SP/BLE row).
     - ``charge_mas``: total charge over the window (the paper derives
       "current dissipated", e.g. 6777 mAs for Omni at 100 KBps in Sec 4.3,
       by multiplying average draw by duration).
@@ -33,9 +34,8 @@ class EnergyReport:
 class EnergyWindow:
     """Measure a device's energy over a window delimited by start/stop."""
 
-    def __init__(self, meter: EnergyMeter, floor_ma: float = WIFI_STANDBY_MA) -> None:
+    def __init__(self, meter: EnergyMeter) -> None:
         self.meter = meter
-        self.floor_ma = floor_ma
         self._start: Optional[EnergySnapshot] = None
 
     def start(self) -> None:
@@ -53,7 +53,7 @@ class EnergyWindow:
             device=self.meter.name,
             window_s=window,
             average_ma_absolute=absolute,
-            average_ma_relative=absolute - self.floor_ma,
+            average_ma_relative=absolute - WIFI_STANDBY_MA,
             charge_mas=self._start.charge_since(),
             peak_ma=self.meter.peak_ma,
         )

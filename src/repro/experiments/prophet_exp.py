@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-from repro.apps.prophet import ProphetConfig, ProphetNode
+from repro.apps.prophet import ProphetNode
 from repro.apps.transport import D2DTransport
 from repro.energy.report import EnergyWindow
 from repro.experiments.scenario import OMNI_TECHS_BLE_WIFI, Testbed
@@ -87,7 +87,7 @@ def run_variant(variant: str, seed: int = 21, attach_trace: bool = False,
     nodes = {}
     for name, device in (("A", device_a), ("B", device_b), ("C", device_c)):
         transport = _transport(testbed, variant, device)
-        nodes[name] = ProphetNode(testbed.kernel, transport, ProphetConfig())
+        nodes[name] = ProphetNode(testbed.kernel, transport)
 
     delivery_time: List[float] = []
 

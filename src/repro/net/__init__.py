@@ -3,16 +3,13 @@
 from repro.net.addresses import MacAddress, MeshAddress, NfcAddress
 from repro.net.channel import FlowAborted, FluidChannel, FluidFlow
 from repro.net.flow_energy import (
-    DEFAULT_FLOW_ENERGY,
     FlowEnergyAccountant,
     FlowEnergyBinder,
-    FlowEnergyParams,
     accountant_for,
-    flow_draw_ma,
     receiver_binder,
     sender_binder,
 )
-from repro.net.infra import DownloadPlan, InfrastructureServer
+from repro.net.infra import InfrastructureServer
 from repro.net.mesh import (
     MULTICAST_CAPACITY_BPS,
     UNICAST_CAPACITY_BPS,
@@ -21,12 +18,9 @@ from repro.net.mesh import (
 from repro.net.payload import Payload, VirtualPayload, describe_payload, payload_size
 
 __all__ = [
-    "DEFAULT_FLOW_ENERGY",
-    "DownloadPlan",
     "FlowAborted",
     "FlowEnergyAccountant",
     "FlowEnergyBinder",
-    "FlowEnergyParams",
     "accountant_for",
     "FluidChannel",
     "FluidFlow",
@@ -40,7 +34,6 @@ __all__ = [
     "UNICAST_CAPACITY_BPS",
     "VirtualPayload",
     "describe_payload",
-    "flow_draw_ma",
     "payload_size",
     "receiver_binder",
     "sender_binder",

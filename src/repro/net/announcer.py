@@ -5,12 +5,16 @@ paper attributes to the State of the Practice and State of the Art (and that
 Omni's WiFi-multicast context adapter also uses when WiFi is the best
 available context technology):
 
-- stay joined to the mesh and re-scan periodically, because "discovery must
-  handle constantly changing environments where the available networks
+- join the mesh with a full connect and stay joined, because "discovery
+  must handle constantly changing environments where the available networks
   cannot be assumed to be known a priori" (paper footnote 12);
-- multicast an announcement packet every ``interval`` (500 ms in the paper);
+- multicast an announcement packet every :data:`DISCOVERY_INTERVAL_S`;
 - while announcing, consume a fraction of channel airtime, which depresses
   concurrent TCP throughput (the Table 5 crossover).
+
+It never re-scans: the paper's measured systems show no periodic-scan
+signature in their idle energy (Table 4's ~22 mA WiFi rows are explained
+by the multicast transmissions alone).
 """
 
 from __future__ import annotations
@@ -18,19 +22,12 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from repro.net.mesh import MeshNetwork
-from repro.radio.wifi import (
-    MULTICAST_AIRTIME_S,
-    SCAN_DURATION_S,
-    WifiRadio,
-)
+from repro.radio.wifi import MULTICAST_AIRTIME_S, WifiRadio
 from repro.sim.kernel import PeriodicTask
 
-#: How often the announcer re-scans for changed surroundings.  Disabled by
-#: default: the paper's measured systems multicast continuously but show no
-#: periodic-scan signature in their idle energy (Table 4's ~22 mA WiFi rows
-#: are fully explained by the multicast transmissions); enable for the
-#: dynamic-environment ablation.
-RESCAN_PERIOD_S = 0.0
+#: The baselines' application-level discovery period, on every technology
+#: they discover on: "every 500 ms" in the paper.
+DISCOVERY_INTERVAL_S = 0.5
 
 PayloadFactory = Callable[[], bytes]
 
@@ -43,18 +40,11 @@ class MulticastAnnouncer:
         radio: WifiRadio,
         mesh: MeshNetwork,
         payload_factory: PayloadFactory,
-        interval_s: float = 0.5,
-        rescan_period_s: float = RESCAN_PERIOD_S,
     ) -> None:
-        if interval_s <= 0:
-            raise ValueError(f"interval must be > 0, got {interval_s}")
         self.radio = radio
         self.mesh = mesh
         self.payload_factory = payload_factory
-        self.interval_s = interval_s
-        self.rescan_period_s = rescan_period_s
         self._announce_task: Optional[PeriodicTask] = None
-        self._rescan_task: Optional[PeriodicTask] = None
         self._overhead_key = f"announce.{radio.name}"
         self.active = False
         self.announcements_sent = 0
@@ -72,32 +62,21 @@ class MulticastAnnouncer:
             return
         kernel = self.radio.kernel
         self.mesh.channel.set_overhead(
-            self._overhead_key, MULTICAST_AIRTIME_S / self.interval_s
+            self._overhead_key, MULTICAST_AIRTIME_S / DISCOVERY_INTERVAL_S
         )
         self._announce_task = kernel.every(
-            self.interval_s,
+            DISCOVERY_INTERVAL_S,
             self._announce,
             start_after=0.0,
             jitter_fraction=0.02,
             rng=kernel.rng.child("announcer", self.radio.name),
         )
-        if self.rescan_period_s > 0:
-            self._rescan_task = kernel.every(
-                self.rescan_period_s, self._rescan, start_after=self.rescan_period_s
-            )
 
     def _announce(self) -> None:
         if not self.active or self.radio.mesh is not self.mesh:
             return
         self.announcements_sent += 1
         self.radio.send_multicast(self.payload_factory())
-
-    def _rescan(self) -> None:
-        if not self.active or not self.radio.enabled:
-            return
-        # The scan's purpose here is cost fidelity: the surroundings in our
-        # scenarios are a single mesh, but the radio still pays for sweeps.
-        self.radio.scan(SCAN_DURATION_S)
 
     def stop(self) -> None:
         """Stop announcing and release the channel overhead. Idempotent."""
@@ -107,7 +86,4 @@ class MulticastAnnouncer:
         if self._announce_task is not None:
             self._announce_task.cancel()
             self._announce_task = None
-        if self._rescan_task is not None:
-            self._rescan_task.cancel()
-            self._rescan_task = None
         self.mesh.channel.clear_overhead(self._overhead_key)

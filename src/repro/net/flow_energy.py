@@ -27,47 +27,25 @@ All constants are calibration inputs documented in EXPERIMENTS.md.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
-from typing import Callable, Dict, Tuple
+from typing import Dict, Tuple
 
 from repro.energy.constants import WIFI_RECEIVE_MA, WIFI_SEND_MA
 from repro.energy.meter import EnergyMeter
 
-
-@dataclass(frozen=True)
-class FlowEnergyParams:
-    """Calibration constants for the flow energy model."""
-
-    reference_rate_bps: float = 3_000_000.0  # duty == 1 at this rate
-    wake_floor_duty: float = 0.02  # duty of per-packet wakeups for any traffic
-    saturation_extra_ma: float = 420.0  # CPU + USB adapter at full tilt
-    saturation_knee: float = 0.5  # surcharge ramps linearly above this duty
-    # Multicast frames go out at the 1 Mbps basic rate, so each multicast
-    # byte occupies ~6x the airtime of a unicast byte at the reference rate;
-    # multicast flow rates are scaled by this factor before duty accounting.
-    multicast_airtime_scale: float = 6.0
+REFERENCE_RATE_BPS = 3_000_000.0  # duty == 1 at this rate
+WAKE_FLOOR_DUTY = 0.02  # duty of per-packet wakeups for any traffic
+SATURATION_EXTRA_MA = 420.0  # CPU + USB adapter at full tilt
+SATURATION_KNEE = 0.5  # surcharge ramps linearly above this duty
+#: Multicast frames go out at the 1 Mbps basic rate, so each multicast byte
+#: occupies ~6x the airtime of a unicast byte at the reference rate;
+#: multicast flow rates are scaled by this factor before duty accounting.
+MULTICAST_AIRTIME_SCALE = 6.0
 
 
-DEFAULT_FLOW_ENERGY = FlowEnergyParams()
-
-
-def _duty(rate_bps: float, params: FlowEnergyParams) -> float:
+def _duty(rate_bps: float) -> float:
     if rate_bps <= 0.0:
         return 0.0
-    return min(1.0, rate_bps / params.reference_rate_bps + params.wake_floor_duty)
-
-
-def flow_draw_ma(rate_bps: float, op_ma: float,
-                 params: FlowEnergyParams = DEFAULT_FLOW_ENERGY) -> float:
-    """Draw (mA) for a *standalone* endpoint at ``rate_bps`` — the single-flow
-    special case of the aggregate model; used where aggregation cannot apply
-    (e.g. quick estimates) and in tests as the reference curve."""
-    duty = _duty(rate_bps, params)
-    draw = op_ma * duty
-    if duty > params.saturation_knee:
-        ramp = (duty - params.saturation_knee) / (1.0 - params.saturation_knee)
-        draw += params.saturation_extra_ma * ramp
-    return draw
+    return min(1.0, rate_bps / REFERENCE_RATE_BPS + WAKE_FLOOR_DUTY)
 
 
 class FlowEnergyAccountant:
@@ -76,9 +54,8 @@ class FlowEnergyAccountant:
     TX = "tx"
     RX = "rx"
 
-    def __init__(self, meter: EnergyMeter, params: FlowEnergyParams) -> None:
+    def __init__(self, meter: EnergyMeter) -> None:
         self.meter = meter
-        self.params = params
         self._rates: Dict[Tuple[str, str], float] = {}  # (direction, key) -> bps
 
     def set_rate(self, direction: str, key: str, rate_bps: float) -> None:
@@ -99,16 +76,15 @@ class FlowEnergyAccountant:
         )
 
     def _apply(self) -> None:
-        params = self.params
         tx_total = self.total(self.TX)
         rx_total = self.total(self.RX)
-        self.meter.set_draw("wifi.flow-tx", WIFI_SEND_MA * _duty(tx_total, params))
-        self.meter.set_draw("wifi.flow-rx", WIFI_RECEIVE_MA * _duty(rx_total, params))
-        combined_duty = _duty(tx_total + rx_total, params)
+        self.meter.set_draw("wifi.flow-tx", WIFI_SEND_MA * _duty(tx_total))
+        self.meter.set_draw("wifi.flow-rx", WIFI_RECEIVE_MA * _duty(rx_total))
+        combined_duty = _duty(tx_total + rx_total)
         surcharge = 0.0
-        if combined_duty > params.saturation_knee:
-            ramp = (combined_duty - params.saturation_knee) / (1.0 - params.saturation_knee)
-            surcharge = params.saturation_extra_ma * ramp
+        if combined_duty > SATURATION_KNEE:
+            ramp = (combined_duty - SATURATION_KNEE) / (1.0 - SATURATION_KNEE)
+            surcharge = SATURATION_EXTRA_MA * ramp
         self.meter.set_draw("wifi.flow-cpu", surcharge)
 
 
@@ -117,12 +93,11 @@ _ACCOUNTANTS: "weakref.WeakKeyDictionary[EnergyMeter, FlowEnergyAccountant]" = (
 )
 
 
-def accountant_for(meter: EnergyMeter,
-                   params: FlowEnergyParams = DEFAULT_FLOW_ENERGY) -> FlowEnergyAccountant:
+def accountant_for(meter: EnergyMeter) -> FlowEnergyAccountant:
     """The per-device accountant for ``meter`` (created on first use)."""
     accountant = _ACCOUNTANTS.get(meter)
     if accountant is None:
-        accountant = FlowEnergyAccountant(meter, params)
+        accountant = FlowEnergyAccountant(meter)
         _ACCOUNTANTS[meter] = accountant
     return accountant
 
@@ -131,15 +106,14 @@ class FlowEnergyBinder:
     """Adapts one flow endpoint's rate changes to the device accountant.
 
     ``rate_scale`` converts a goodput into an airtime-equivalent rate; 1 for
-    unicast, ``params.multicast_airtime_scale`` for basic-rate multicast.
+    unicast, :data:`MULTICAST_AIRTIME_SCALE` for basic-rate multicast.
     """
 
     _next_key = 0
 
     def __init__(self, meter: EnergyMeter, direction: str,
-                 params: FlowEnergyParams = DEFAULT_FLOW_ENERGY,
                  rate_scale: float = 1.0) -> None:
-        self.accountant = accountant_for(meter, params)
+        self.accountant = accountant_for(meter)
         self.direction = direction
         self.rate_scale = rate_scale
         FlowEnergyBinder._next_key += 1
@@ -154,35 +128,25 @@ class FlowEnergyBinder:
         self.accountant.set_rate(self.direction, self.key, 0.0)
 
 
-def sender_binder(meter: EnergyMeter, component: str = "",
-                  params: FlowEnergyParams = DEFAULT_FLOW_ENERGY) -> FlowEnergyBinder:
-    """Binder for the transmitting endpoint of a unicast flow.
-
-    ``component`` is accepted for call-site readability but unused: draws
-    are aggregated into the device-wide flow components.
-    """
-    return FlowEnergyBinder(meter, FlowEnergyAccountant.TX, params)
+def sender_binder(meter: EnergyMeter) -> FlowEnergyBinder:
+    """Binder for the transmitting endpoint of a unicast flow."""
+    return FlowEnergyBinder(meter, FlowEnergyAccountant.TX)
 
 
-def receiver_binder(meter: EnergyMeter, component: str = "",
-                    params: FlowEnergyParams = DEFAULT_FLOW_ENERGY) -> FlowEnergyBinder:
+def receiver_binder(meter: EnergyMeter) -> FlowEnergyBinder:
     """Binder for the receiving endpoint of a unicast flow."""
-    return FlowEnergyBinder(meter, FlowEnergyAccountant.RX, params)
+    return FlowEnergyBinder(meter, FlowEnergyAccountant.RX)
 
 
-def multicast_sender_binder(
-    meter: EnergyMeter, params: FlowEnergyParams = DEFAULT_FLOW_ENERGY
-) -> FlowEnergyBinder:
+def multicast_sender_binder(meter: EnergyMeter) -> FlowEnergyBinder:
     """Binder for the transmitting endpoint of a basic-rate multicast flow."""
     return FlowEnergyBinder(
-        meter, FlowEnergyAccountant.TX, params, rate_scale=params.multicast_airtime_scale
+        meter, FlowEnergyAccountant.TX, rate_scale=MULTICAST_AIRTIME_SCALE
     )
 
 
-def multicast_receiver_binder(
-    meter: EnergyMeter, params: FlowEnergyParams = DEFAULT_FLOW_ENERGY
-) -> FlowEnergyBinder:
+def multicast_receiver_binder(meter: EnergyMeter) -> FlowEnergyBinder:
     """Binder for the receiving endpoint of a basic-rate multicast flow."""
     return FlowEnergyBinder(
-        meter, FlowEnergyAccountant.RX, params, rate_scale=params.multicast_airtime_scale
+        meter, FlowEnergyAccountant.RX, rate_scale=MULTICAST_AIRTIME_SCALE
     )

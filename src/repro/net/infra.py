@@ -4,40 +4,17 @@ The Disseminate experiment (paper Sec 4.3, Table 5) has devices download
 pieces of a media file "from a mock infrastructure network using two
 different data rates (100 KBps and 1000 KBps)".  This module is that mock: a
 rate-limited download source, independent of the D2D mesh, that delivers
-chunks on a deterministic schedule and charges the client's WiFi radio the
-appropriate receive energy.
+each download on a deterministic schedule and charges the client's WiFi
+radio the appropriate receive energy.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
-
-from repro.net.flow_energy import (
-    DEFAULT_FLOW_ENERGY,
-    FlowEnergyParams,
-    receiver_binder,
-)
 from repro.energy.meter import EnergyMeter
+from repro.net.flow_energy import receiver_binder
 from repro.sim.kernel import Kernel
 from repro.sim.process import Completion
 from repro.util.validation import check_positive
-
-ChunkCallback = Callable[[int], None]
-
-
-@dataclass
-class DownloadPlan:
-    """A scheduled sequence of chunk downloads for one client."""
-
-    chunk_sizes: Sequence[int]
-    rate_bps: float
-    completion: Completion
-    cancelled: bool = False
-
-    def cancel(self) -> None:
-        """Stop after the chunk currently in flight."""
-        self.cancelled = True
 
 
 class InfrastructureServer:
@@ -49,62 +26,24 @@ class InfrastructureServer:
     by the rate.
     """
 
-    def __init__(self, kernel: Kernel, name: str = "infra",
-                 flow_energy: FlowEnergyParams = DEFAULT_FLOW_ENERGY) -> None:
+    def __init__(self, kernel: Kernel) -> None:
         self.kernel = kernel
-        self.name = name
-        self.flow_energy = flow_energy
         self.bytes_served = 0
 
     def download(self, meter: EnergyMeter, size: int, rate_bps: float) -> Completion:
-        """Download ``size`` bytes as one blob; completes when done."""
-        plan = self.download_chunks(meter, [size], rate_bps)
-        return plan.completion
-
-    def download_chunks(
-        self,
-        meter: EnergyMeter,
-        chunk_sizes: Sequence[int],
-        rate_bps: float,
-        on_chunk: Optional[ChunkCallback] = None,
-    ) -> DownloadPlan:
-        """Download chunks sequentially at ``rate_bps``.
-
-        ``on_chunk(index)`` fires as each chunk lands — this is what lets the
-        Disseminate application start sharing a chunk over D2D the moment it
-        arrives, rather than waiting for the whole file.
-        """
+        """Download ``size`` bytes as one blob; completes with ``[0]`` when done."""
         check_positive("rate_bps", rate_bps)
-        plan = DownloadPlan(list(chunk_sizes), rate_bps, Completion())
-        if not plan.chunk_sizes:
-            self.kernel.call_in(0.0, lambda: plan.completion.succeed([]))
-            return plan
+        completion = Completion()
         # Infrastructure reception shares the device's aggregate flow energy
         # accounting, so a concurrent D2D transfer does not double-bill the
         # radio's wake floor or the CPU saturation surcharge.
-        binder = receiver_binder(meter, params=self.flow_energy)
+        binder = receiver_binder(meter)
         binder(rate_bps)
-        self._schedule_chunk(plan, binder, 0, on_chunk)
-        return plan
-
-    def _schedule_chunk(
-        self,
-        plan: DownloadPlan,
-        binder,
-        index: int,
-        on_chunk: Optional[ChunkCallback],
-    ) -> None:
-        duration = plan.chunk_sizes[index] / plan.rate_bps
 
         def finish() -> None:
-            self.bytes_served += plan.chunk_sizes[index]
-            if on_chunk is not None:
-                on_chunk(index)
-            next_index = index + 1
-            if plan.cancelled or next_index >= len(plan.chunk_sizes):
-                binder.release()
-                plan.completion.succeed(list(range(next_index)))
-                return
-            self._schedule_chunk(plan, binder, next_index, on_chunk)
+            self.bytes_served += size
+            binder.release()
+            completion.succeed([0])
 
-        self.kernel.call_in(duration, finish)
+        self.kernel.call_in(size / rate_bps, finish)
+        return completion

@@ -31,18 +31,12 @@ MULTICAST_CAPACITY_BPS = 131_000.0
 class MeshNetwork:
     """A named mesh; radios join it to exchange unicast/multicast traffic."""
 
-    def __init__(
-        self,
-        kernel: Kernel,
-        name: str,
-        unicast_capacity_bps: float = UNICAST_CAPACITY_BPS,
-        multicast_capacity_bps: float = MULTICAST_CAPACITY_BPS,
-    ) -> None:
+    def __init__(self, kernel: Kernel, name: str) -> None:
         self.kernel = kernel
         self.name = name
-        self.channel = FluidChannel(kernel, unicast_capacity_bps, name=f"{name}.unicast")
+        self.channel = FluidChannel(kernel, UNICAST_CAPACITY_BPS, name=f"{name}.unicast")
         self.multicast_channel = FluidChannel(
-            kernel, multicast_capacity_bps, name=f"{name}.multicast"
+            kernel, MULTICAST_CAPACITY_BPS, name=f"{name}.multicast"
         )
         self._members: Dict[MeshAddress, "WifiRadio"] = {}
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Optional
+from typing import TYPE_CHECKING, Dict
 
 from repro.energy.meter import EnergyMeter
 from repro.phy.world import WorldNode
@@ -106,8 +106,13 @@ class Radio:
     # -- reception -----------------------------------------------------------
 
     def _accepts_frame(self, frame: Frame) -> bool:
-        """Whether this radio can currently hear ``frame`` (state gating)."""
-        return self.enabled
+        """Whether this radio can currently hear ``frame`` (state gating).
+
+        Each concrete radio defines this scalar reference: its
+        :meth:`accepts_mask` must match it element for element, and the
+        medium oracle in the tests calls it per candidate.
+        """
+        raise NotImplementedError
 
     @classmethod
     def accepts_mask(cls, radios, frame: Frame, now: float):
@@ -160,10 +165,10 @@ class Device:
     and drive its radios.
     """
 
-    def __init__(self, kernel: Kernel, node: WorldNode, name: Optional[str] = None) -> None:
+    def __init__(self, kernel: Kernel, node: WorldNode) -> None:
         self.kernel = kernel
         self.node = node
-        self.name = name or node.name
+        self.name = node.name
         self.meter = EnergyMeter(kernel, name=self.name)
         self.radios: Dict[RadioKind, Radio] = {}
 

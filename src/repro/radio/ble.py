@@ -90,10 +90,9 @@ class BleRadio(Radio):
     #: ``Medium._accept_version`` (see :attr:`Radio.accepts_versioned`).
     accepts_versioned = True
 
-    def __init__(self, device: Device, medium: Medium,
-                 address: Optional[MacAddress] = None) -> None:
+    def __init__(self, device: Device, medium: Medium) -> None:
         super().__init__(device, medium)
-        self.address = address or MacAddress.random(
+        self.address = MacAddress.random(
             device.kernel.rng.child("ble-mac", device.name)
         )
         self._advertising_sets: List[AdvertisingSet] = []

@@ -30,10 +30,9 @@ class NfcRadio(Radio):
 
     kind = RadioKind.NFC
 
-    def __init__(self, device: Device, medium: Medium,
-                 address: Optional[NfcAddress] = None) -> None:
+    def __init__(self, device: Device, medium: Medium) -> None:
         super().__init__(device, medium)
-        self.address = address or NfcAddress.random(
+        self.address = NfcAddress.random(
             device.kernel.rng.child("nfc-addr", device.name)
         )
         self._handler: Optional[NfcHandler] = None

@@ -32,8 +32,6 @@ from repro.energy.constants import (
 from repro.net.addresses import MeshAddress
 from repro.net.channel import FluidFlow
 from repro.net.flow_energy import (
-    DEFAULT_FLOW_ENERGY,
-    FlowEnergyParams,
     multicast_receiver_binder,
     multicast_sender_binder,
     receiver_binder,
@@ -87,18 +85,11 @@ class WifiRadio(Radio):
 
     kind = RadioKind.WIFI
 
-    def __init__(
-        self,
-        device: Device,
-        medium: Medium,
-        address: Optional[MeshAddress] = None,
-        flow_energy: FlowEnergyParams = DEFAULT_FLOW_ENERGY,
-    ) -> None:
+    def __init__(self, device: Device, medium: Medium) -> None:
         super().__init__(device, medium)
-        self.address = address or MeshAddress.random(
+        self.address = MeshAddress.random(
             device.kernel.rng.child("mesh-addr", device.name)
         )
-        self.flow_energy = flow_energy
         self.mesh: Optional[MeshNetwork] = None
         # Multicast-overlay membership does not imply unicast peering:
         # sending TCP requires peer_mode, established by a peer-mode join or
@@ -272,8 +263,8 @@ class WifiRadio(Radio):
         peer = mesh.member_by_address(transfer.destination)
         flow = mesh.channel.start_flow(transfer.size, label or "unicast")
         transfer.flow = flow
-        tx_binder = sender_binder(self.meter, params=self.flow_energy)
-        rx_binder = receiver_binder(peer.meter, params=peer.flow_energy)
+        tx_binder = sender_binder(self.meter)
+        rx_binder = receiver_binder(peer.meter)
         flow.on_rate_change(tx_binder)
         flow.on_rate_change(rx_binder)
 
@@ -371,11 +362,11 @@ class WifiRadio(Radio):
             and self.medium.in_range(self, member)
         ]
         flow = mesh.multicast_channel.start_flow(payload_size(payload), label or "mcast-data")
-        tx_binder = multicast_sender_binder(self.meter, params=self.flow_energy)
+        tx_binder = multicast_sender_binder(self.meter)
         flow.on_rate_change(tx_binder)
         rx_bindings = []
         for receiver in receivers:
-            binder = multicast_receiver_binder(receiver.meter, params=receiver.flow_energy)
+            binder = multicast_receiver_binder(receiver.meter)
             rx_bindings.append((receiver, binder))
             flow.on_rate_change(binder)
 

@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 from repro.apps.prophet import (
     GAMMA,
     P_INIT,
-    ProphetConfig,
     ProphetNode,
     decode_summary,
     encode_summary,

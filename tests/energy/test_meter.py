@@ -87,8 +87,7 @@ def test_snapshot_windowed_average(kernel):
     kernel.run_until(20.0)
     assert snapshot.elapsed() == pytest.approx(10.0)
     assert snapshot.charge_since() == pytest.approx(200.0)
-    assert snapshot.average_ma() == pytest.approx(20.0)
-    assert snapshot.average_ma(relative_to_floor=5.0) == pytest.approx(15.0)
+    assert meter.average_ma(since=snapshot) == pytest.approx(20.0)
 
 
 def test_peak_tracking(kernel):
@@ -105,7 +104,7 @@ def test_average_ma_at_zero_elapsed_is_current(kernel):
     meter = EnergyMeter(kernel)
     meter.set_draw("x", 7.0)
     snapshot = meter.snapshot()
-    assert snapshot.average_ma() == pytest.approx(7.0)
+    assert meter.average_ma(since=snapshot) == pytest.approx(7.0)
 
 
 @given(st.lists(st.tuples(st.floats(min_value=0.01, max_value=10),
@@ -139,28 +138,9 @@ def test_property_charge_is_monotonic(draws):
 # -- the redesigned average_ma surface ----------------------------------------
 
 
-def test_average_ma_snapshot_form(kernel):
-    meter = EnergyMeter(kernel)
-    meter.set_draw("base", 5.0)
-    kernel.run_until(10.0)
-    snapshot = meter.snapshot()
-    meter.set_draw("extra", 15.0)
-    kernel.run_until(20.0)
-    assert meter.average_ma(since=snapshot) == pytest.approx(20.0)
-    assert meter.average_ma(since=snapshot, floor_ma=5.0) == pytest.approx(15.0)
-
-
-def test_average_ma_zero_window_degenerates_to_current(kernel):
-    meter = EnergyMeter(kernel)
-    meter.set_draw("x", 7.0)
-    snapshot = meter.snapshot()
-    assert meter.average_ma(since=snapshot, floor_ma=2.0) == pytest.approx(5.0)
-
-
 def test_average_ma_two_float_form_is_gone(kernel):
-    # The deprecation cycle for average_ma(since_time, since_charge_mas)
-    # completed: the keyword-only signature rejects the old positional form
-    # outright (and API001 lints any reintroduction).
+    # The keyword-only signature rejects the old two-float positional form
+    # average_ma(since_time, since_charge_mas) outright.
     meter = EnergyMeter(kernel)
     meter.set_draw("x", 4.0)
     kernel.run_until(5.0)

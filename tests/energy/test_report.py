@@ -38,7 +38,7 @@ def test_negative_relative_when_radio_off(kernel):
 
 def test_report_fields(kernel):
     meter = EnergyMeter(kernel, name="dev")
-    window = EnergyWindow(meter, floor_ma=10.0)
+    window = EnergyWindow(meter)
     window.start()
     meter.set_draw("x", 30.0)
     kernel.run_until(4.0)
@@ -46,13 +46,13 @@ def test_report_fields(kernel):
     assert report.device == "dev"
     assert report.window_s == pytest.approx(4.0)
     assert report.charge_mas == pytest.approx(120.0)
-    assert report.average_ma_relative == pytest.approx(20.0)
+    assert report.average_ma_relative == pytest.approx(30.0 - WIFI_STANDBY_MA)
     assert report.peak_ma == pytest.approx(30.0)
 
 
 def test_window_restart_resets(kernel):
     meter = EnergyMeter(kernel)
-    window = EnergyWindow(meter, floor_ma=0.0)
+    window = EnergyWindow(meter)
     window.start()
     meter.set_draw("x", 100.0)
     kernel.run_until(5.0)

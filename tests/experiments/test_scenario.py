@@ -10,6 +10,7 @@ from repro.experiments.scenario import (
     Testbed,
 )
 from repro.phy.geometry import Position
+from repro.radio.frame import RadioKind
 
 
 def test_default_device_has_ble_and_wifi():
@@ -24,6 +25,23 @@ def test_radio_kinds_selectable():
     device = testbed.add_device("a", position=Position(0, 0),
                                 radio_kinds={"wifi"})
     assert not device.has_radio("ble")
+
+
+def test_construction_order_ignores_argument_order():
+    # The medium draws RNG in attach order, so radios attach, and adapters
+    # register, in one fixed order whatever order the caller names them in.
+    testbed = Testbed(seed=1)
+    device = testbed.add_device("a", position=Position(0, 0),
+                                radio_kinds=["nfc", "wifi", "ble"])
+    manager = testbed.omni_manager(device, [
+        TechType.NFC_TAP, TechType.WIFI_MULTICAST, TechType.WIFI_TCP,
+        TechType.BLE_BEACON,
+    ])
+    assert list(device.radios) == [RadioKind.BLE, RadioKind.WIFI, RadioKind.NFC]
+    assert list(manager.adapters) == [
+        TechType.BLE_BEACON, TechType.WIFI_TCP, TechType.WIFI_MULTICAST,
+        TechType.NFC_TAP,
+    ]
 
 
 def test_omni_manager_respects_tech_set():

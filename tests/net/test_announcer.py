@@ -11,9 +11,7 @@ from repro.radio.wifi import MULTICAST_AIRTIME_S
 def announcer_pair(kernel, make_device, mesh):
     a = make_device("a", x=0)
     b = make_device("b", x=5)
-    announcer = MulticastAnnouncer(
-        a.radio(RadioKind.WIFI), mesh, lambda: b"announce", interval_s=0.5
-    )
+    announcer = MulticastAnnouncer(a.radio(RadioKind.WIFI), mesh, lambda: b"announce")
     return announcer, a, b
 
 
@@ -40,9 +38,7 @@ def test_payload_factory_called_fresh_each_time(kernel, make_device, mesh):
     a = make_device("a", x=0)
     b = make_device("b", x=5)
     payloads = iter([b"one", b"two", b"three", b"four", b"five", b"six"])
-    announcer = MulticastAnnouncer(
-        a.radio(RadioKind.WIFI), mesh, lambda: next(payloads), interval_s=0.5
-    )
+    announcer = MulticastAnnouncer(a.radio(RadioKind.WIFI), mesh, lambda: next(payloads))
     heard = []
     kernel.run_until_complete(b.radio(RadioKind.WIFI).join(mesh, peer_mode=False))
     b.radio(RadioKind.WIFI).on_multicast(lambda payload, src: heard.append(payload))
@@ -76,25 +72,8 @@ def test_stop_silences_announcements(kernel, announcer_pair, mesh):
     assert len(heard) == count
 
 
-def test_rescans_when_configured(kernel, make_device, mesh):
-    a = make_device("a", x=0)
-    radio = a.radio(RadioKind.WIFI)
-    announcer = MulticastAnnouncer(radio, mesh, lambda: b"x", interval_s=0.5,
-                                   rescan_period_s=5.0)
-    announcer.start()
-    kernel.run_until(12.0)
-    assert radio.scans_performed == 2
-
-
-def test_no_rescans_by_default(kernel, announcer_pair):
+def test_announcer_never_scans(kernel, announcer_pair):
     announcer, a, _ = announcer_pair
     announcer.start()
     kernel.run_until(60.0)
     assert a.radio(RadioKind.WIFI).scans_performed == 0
-
-
-def test_invalid_interval_rejected(kernel, make_device, mesh):
-    with pytest.raises(ValueError):
-        MulticastAnnouncer(
-            make_device("a").radio(RadioKind.WIFI), mesh, lambda: b"", interval_s=0
-        )

@@ -6,15 +6,30 @@ from hypothesis import given, strategies as st
 from repro.energy.constants import WIFI_RECEIVE_MA, WIFI_SEND_MA
 from repro.energy.meter import EnergyMeter
 from repro.net.flow_energy import (
-    DEFAULT_FLOW_ENERGY,
+    REFERENCE_RATE_BPS,
+    SATURATION_EXTRA_MA,
+    SATURATION_KNEE,
+    WAKE_FLOOR_DUTY,
     FlowEnergyAccountant,
-    FlowEnergyParams,
     accountant_for,
-    flow_draw_ma,
     multicast_receiver_binder,
     receiver_binder,
     sender_binder,
 )
+from repro.sim.kernel import Kernel
+
+
+def flow_draw_ma(rate_bps: float, op_ma: float) -> float:
+    """Draw (mA) of a standalone endpoint at ``rate_bps``: the single-flow
+    special case of the aggregate model, and these tests' reference curve."""
+    duty = 0.0 if rate_bps <= 0.0 else min(
+        1.0, rate_bps / REFERENCE_RATE_BPS + WAKE_FLOOR_DUTY
+    )
+    draw = op_ma * duty
+    if duty > SATURATION_KNEE:
+        ramp = (duty - SATURATION_KNEE) / (1.0 - SATURATION_KNEE)
+        draw += SATURATION_EXTRA_MA * ramp
+    return draw
 
 
 class TestDrawCurve:
@@ -22,20 +37,17 @@ class TestDrawCurve:
         assert flow_draw_ma(0.0, WIFI_SEND_MA) == 0.0
 
     def test_wake_floor_for_trickle(self):
-        params = DEFAULT_FLOW_ENERGY
-        draw = flow_draw_ma(1.0, WIFI_RECEIVE_MA, params)
-        assert draw >= WIFI_RECEIVE_MA * params.wake_floor_duty
+        draw = flow_draw_ma(1.0, WIFI_RECEIVE_MA)
+        assert draw >= WIFI_RECEIVE_MA * WAKE_FLOOR_DUTY
 
     def test_saturated_rate_includes_surcharge(self):
-        params = DEFAULT_FLOW_ENERGY
-        draw = flow_draw_ma(params.reference_rate_bps * 3, WIFI_RECEIVE_MA, params)
-        assert draw == pytest.approx(WIFI_RECEIVE_MA + params.saturation_extra_ma)
+        draw = flow_draw_ma(REFERENCE_RATE_BPS * 3, WIFI_RECEIVE_MA)
+        assert draw == pytest.approx(WIFI_RECEIVE_MA + SATURATION_EXTRA_MA)
 
     def test_below_knee_no_surcharge(self):
-        params = FlowEnergyParams()
-        rate = params.reference_rate_bps * 0.3
-        assert flow_draw_ma(rate, 100.0, params) == pytest.approx(
-            100.0 * (0.3 + params.wake_floor_duty)
+        rate = REFERENCE_RATE_BPS * 0.3
+        assert flow_draw_ma(rate, 100.0) == pytest.approx(
+            100.0 * (0.3 + WAKE_FLOOR_DUTY)
         )
 
     @given(st.floats(min_value=0, max_value=1e8, allow_nan=False))
@@ -44,22 +56,30 @@ class TestDrawCurve:
         higher = flow_draw_ma(rate * 1.5 + 1, WIFI_SEND_MA)
         assert higher >= lower - 1e-9
 
+    @given(st.floats(min_value=0, max_value=1e8, allow_nan=False))
+    def test_property_single_flow_matches_curve(self, rate):
+        meter = EnergyMeter(Kernel(seed=0))
+        FlowEnergyAccountant(meter).set_rate("rx", "only", rate)
+        draws = meter.active_components()
+        total = draws.get("wifi.flow-rx", 0.0) + draws.get("wifi.flow-cpu", 0.0)
+        assert total == pytest.approx(flow_draw_ma(rate, WIFI_RECEIVE_MA))
+
 
 class TestAccountant:
     def test_aggregates_rates_per_direction(self, kernel):
         meter = EnergyMeter(kernel)
-        accountant = FlowEnergyAccountant(meter, DEFAULT_FLOW_ENERGY)
+        accountant = FlowEnergyAccountant(meter)
         accountant.set_rate("rx", "a", 500_000)
         accountant.set_rate("rx", "b", 500_000)
         assert accountant.total("rx") == 1_000_000
         draws = meter.active_components()
-        expected_duty = 1_000_000 / DEFAULT_FLOW_ENERGY.reference_rate_bps + 0.02
+        expected_duty = 1_000_000 / REFERENCE_RATE_BPS + 0.02
         assert draws["wifi.flow-rx"] == pytest.approx(WIFI_RECEIVE_MA * expected_duty)
 
     def test_wake_floor_not_stacked_across_flows(self, kernel):
         """Ten trickles wake one radio, not ten — the aggregation fix."""
         meter = EnergyMeter(kernel)
-        accountant = FlowEnergyAccountant(meter, DEFAULT_FLOW_ENERGY)
+        accountant = FlowEnergyAccountant(meter)
         for index in range(10):
             accountant.set_rate("rx", f"flow-{index}", 10.0)
         single = flow_draw_ma(100.0, WIFI_RECEIVE_MA)
@@ -67,24 +87,23 @@ class TestAccountant:
 
     def test_surcharge_computed_on_combined_duty(self, kernel):
         meter = EnergyMeter(kernel)
-        params = DEFAULT_FLOW_ENERGY
-        accountant = FlowEnergyAccountant(meter, params)
-        accountant.set_rate("tx", "a", params.reference_rate_bps)
-        accountant.set_rate("rx", "b", params.reference_rate_bps)
+        accountant = FlowEnergyAccountant(meter)
+        accountant.set_rate("tx", "a", REFERENCE_RATE_BPS)
+        accountant.set_rate("rx", "b", REFERENCE_RATE_BPS)
         assert meter.active_components()["wifi.flow-cpu"] == pytest.approx(
-            params.saturation_extra_ma
+            SATURATION_EXTRA_MA
         )
 
     def test_zero_rate_removes_flow(self, kernel):
         meter = EnergyMeter(kernel)
-        accountant = FlowEnergyAccountant(meter, DEFAULT_FLOW_ENERGY)
+        accountant = FlowEnergyAccountant(meter)
         accountant.set_rate("tx", "a", 1000.0)
         accountant.set_rate("tx", "a", 0.0)
         assert accountant.total("tx") == 0.0
         assert meter.active_components().get("wifi.flow-tx", 0.0) == 0.0
 
     def test_invalid_direction_rejected(self, kernel):
-        accountant = FlowEnergyAccountant(EnergyMeter(kernel), DEFAULT_FLOW_ENERGY)
+        accountant = FlowEnergyAccountant(EnergyMeter(kernel))
         with pytest.raises(ValueError):
             accountant.set_rate("sideways", "a", 1.0)
 

@@ -13,52 +13,22 @@ def test_download_duration_matches_rate(kernel, make_device):
     assert kernel.now == pytest.approx(300.0)
 
 
-def test_chunked_download_emits_per_chunk(kernel, make_device):
-    infra = InfrastructureServer(kernel)
-    device = make_device("a")
-    arrivals = []
-    plan = infra.download_chunks(
-        device.meter, [1000, 1000, 2000], 1000.0,
-        on_chunk=lambda index: arrivals.append((index, kernel.now)),
-    )
-    kernel.run_until_complete(plan.completion, timeout=100)
-    assert arrivals == [(0, 1.0), (1, 2.0), (2, 4.0)]
-
-
-def test_cancel_stops_after_current_chunk(kernel, make_device):
-    infra = InfrastructureServer(kernel)
-    device = make_device("a")
-    arrivals = []
-    plan = infra.download_chunks(
-        device.meter, [1000] * 10, 1000.0,
-        on_chunk=lambda index: arrivals.append(index),
-    )
-    kernel.call_at(2.5, plan.cancel)
-    kernel.run_until_complete(plan.completion, timeout=100)
-    assert arrivals == [0, 1, 2]
-    assert kernel.now == pytest.approx(3.0)
-
-
-def test_empty_chunk_list_completes_immediately(kernel, make_device):
-    infra = InfrastructureServer(kernel)
-    plan = infra.download_chunks(make_device("a").meter, [], 1000.0)
-    assert kernel.run_until_complete(plan.completion, timeout=1) == []
-
-
 def test_download_charges_receive_energy(kernel, make_device):
     infra = InfrastructureServer(kernel)
-    device = make_device("a")
-    snapshot = device.meter.snapshot()
-    completion = infra.download(device.meter, 100_000, 100_000.0)
+    meter = make_device("a").meter
+    snapshot = meter.snapshot()
+    completion = infra.download(meter, 100_000, 100_000.0)
     kernel.run_until_complete(completion, timeout=10)
     from repro.energy.constants import WIFI_STANDBY_MA
 
     # Above standby there must be a receive-duty draw for the second.
-    assert snapshot.average_ma(WIFI_STANDBY_MA) > 1.0
+    assert meter.average_ma(since=snapshot) - WIFI_STANDBY_MA > 1.0
     # And it stops afterwards.
-    after = device.meter.snapshot()
+    after = meter.snapshot()
     kernel.run_until(kernel.now + 10)
-    assert after.average_ma(WIFI_STANDBY_MA) == pytest.approx(0.0, abs=1e-6)
+    assert meter.average_ma(since=after) - WIFI_STANDBY_MA == pytest.approx(
+        0.0, abs=1e-6
+    )
 
 
 def test_bytes_served_accumulates(kernel, make_device):

@@ -104,7 +104,9 @@ def test_scan_energy_is_continuous_ble_scan_draw(kernel, pair):
     # Relative to the WiFi standby on the same device.
     from repro.energy.constants import WIFI_STANDBY_MA
 
-    assert snapshot.average_ma(WIFI_STANDBY_MA) == pytest.approx(BLE_SCAN_MA, rel=0.01)
+    assert meter.average_ma(since=snapshot) - WIFI_STANDBY_MA == pytest.approx(
+        BLE_SCAN_MA, rel=0.01
+    )
 
 
 def test_advertise_energy_pulse(kernel, make_device):
