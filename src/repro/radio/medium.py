@@ -13,18 +13,24 @@ A broadcast runs in four batch stages:
 1. **query** — :meth:`Medium._cell_batch` returns every candidate with
    its position as parallel numpy arrays.  :meth:`Medium._kind_arrays`
    positions every radio of the technology and bins it into square cells
-   whose side is the model's cutoff (``max_range()``); a cell's batch is
-   then a few sorted slices plus one distance trim, cached per
-   (technology, cell) so many senders share one gather (hit/miss counts
-   in ``batch_cache_hits``/``batch_cache_misses``).  Both caches are kept
-   per technology and hold while its *stamp* does: the attach/move
-   version alone while none of the technology's attached radios can move
-   (``max_speed() == 0.0``, a constant position by the
-   :class:`~repro.phy.mobility.MobilityModel` contract), else (timestamp,
-   version); whether one can is re-read only when the version changes.
-   So a scene of fixed devices positions and bins them once, not once per
-   instant.  A model with no cutoff gets one batch holding every radio of
-   the technology.
+   whose side is the model's cutoff (``max_range()``).  A cell's batch is
+   every radio in its 5×5-cell window, trimmed to a ``cutoff + 0.75·size``
+   disk around the cell centre, in attach order.  The first lookup of a
+   stamp gathers only its own cell; the second distinct cell runs one
+   numpy pass over every occupied cell (:meth:`Medium._cell_table`), whose
+   CSR rows every later lookup of the stamp slices.  A cell's batch is
+   built on its first lookup and cached per (technology, cell), so
+   same-cell senders share it (``batch_cache_misses`` counts the lookups
+   that ran a gather pass, ``batch_cache_hits`` the rest).  Both caches
+   and the table are kept per technology and hold while its *stamp*
+   does: the attach/move version alone while none of the technology's
+   attached radios can move (``max_speed() == 0.0``, a constant position
+   by the :class:`~repro.phy.mobility.MobilityModel` contract), else
+   (timestamp, version); whether one can is re-read only when the version
+   changes.  So a scene of fixed devices positions and bins them once,
+   not once per instant, and a scene whose every sender fires at one
+   instant pays one candidate pass for it.  A model with no cutoff gets
+   one batch holding every radio of the technology.
 2. **probability** — :meth:`Medium._delivery_mask` computes distances,
    delivery probabilities, and the RNG delivery rolls in one numpy pass.
 3. **acceptance** — :meth:`Medium._acceptance_mask` asks each concrete
@@ -90,6 +96,19 @@ PROPAGATION_DELAY_S = 5e-6
 _CELL_STRIDE = 1 << 32
 _CELL_LIMIT = (1 << 31) - 3
 
+#: A cell's 5×5 window as packed-id offsets: per x-column ``cx - 2 .. cx +
+#: 2``, the first five bound ``cy - 2`` from below and the last five bound
+#: ``cy + 2`` from above (``cy + 3``, searched from the left).  A cell
+#: within ``_CELL_LIMIT`` keeps every sum inside int64.
+_WINDOW = np.concatenate((
+    np.arange(-2, 3, dtype=np.int64) * _CELL_STRIDE - 2,
+    np.arange(-2, 3, dtype=np.int64) * _CELL_STRIDE + 3,
+))
+
+#: Candidates per block of the table pass, before the trim: bounds the
+#: pass's per-candidate work arrays at under a MB however dense the scene.
+_TABLE_BLOCK = 1 << 13
+
 
 def _can_move(node: WorldNode) -> bool:
     """Whether ``node``'s position may change with time.
@@ -145,11 +164,13 @@ class _BatchDelivery:
 class _CellBatch:
     """Cached candidate arrays for every sender in one grid cell.
 
-    ``radios`` is attach-order sorted; ``xs``/``ys`` are the matching
-    float64 coordinates and ``index`` the matching ascending positions in
-    the per-stamp arrays (see ``Medium._kind_arrays``), binary-searched to
-    locate the sender.  A batch lives as long as its technology's stamp
-    (see ``Medium._ensure_stamp``): one instant when the technology has a
+    One row of a gather (see ``Medium._gather``), built on the cell's
+    first lookup: ``radios`` is attach-order sorted; ``xs``/``ys`` are the
+    matching float64 coordinates, views into the gather's flat arrays, and
+    ``index`` the matching ascending positions in the per-stamp arrays
+    (see ``Medium._kind_arrays``), binary-searched to locate the sender.
+    A batch lives as long as its technology's stamp (see
+    ``Medium._ensure_stamp``): one instant when the technology has a
     mover, every instant up to the next attach, detach or mobility change
     when it has none.
     ``accept_cache`` memoises the batch-wide acceptance pre-filter for
@@ -203,14 +224,17 @@ class Medium:
         # Deliveries heard by halo mirror receivers (sharded execution):
         # counted within frames_delivered too, broken out for shard stats.
         self.frames_cross_shard = 0
-        #: Candidate-batch cache outcomes, alongside the frame counters: a
-        #: hit means a same-cell sender reused another's gather this stamp.
+        #: Candidate-batch lookups, alongside the frame counters: a miss is
+        #: a lookup that ran a gather pass (its own cell, or the stamp's
+        #: table of every occupied cell), a hit one served without — from
+        #: a cached batch or a row of the stamp's table.
         self.batch_cache_hits = 0
         self.batch_cache_misses = 0
         self._attach_seq = 0
-        # Per-kind, per-cell candidate batches — see _cell_batch — and
-        # per-kind position arrays over every attached radio, cell-binned
-        # for the batch gather — see _kind_arrays.  A kind's two caches
+        # Per-kind, per-cell candidate batches — see _cell_batch — per-kind
+        # position arrays over every attached radio, cell-binned for the
+        # gather — see _kind_arrays — and per-kind candidate tables of
+        # every occupied cell — see _cell_table.  A kind's three caches
         # hold while its stamp does (see _ensure_stamp): (None, version)
         # while none of its radios can move, else (timestamp, version).
         # Every attach, detach and mobility change bumps the version.
@@ -219,6 +243,7 @@ class Medium:
             kind: {} for kind in RadioKind
         }
         self._stamp_arrays: Dict[RadioKind, tuple] = {}
+        self._cell_tables: Dict[RadioKind, tuple] = {}
         self._stamps: Dict[RadioKind, Tuple[Optional[float], int]] = {
             kind: (None, -1) for kind in RadioKind
         }
@@ -297,8 +322,8 @@ class Medium:
         mobility change (each bumps the version) can stale them — and
         ``(now, version)`` while one can, so a clock advance stales them
         too.  Whether one can move changes only with the version, so it is
-        re-read only then.  A changed stamp drops both caches of that kind
-        wholesale.
+        re-read only then.  A changed stamp drops every cache of that kind
+        wholesale: batches, position arrays and candidate table.
         """
         now = self.kernel.now
         stamped_at, version = self._stamps[kind]
@@ -310,6 +335,7 @@ class Medium:
             moving = any(_can_move(radio.node) for radio in self._radios[kind])
         self._batch_cache[kind].clear()
         self._stamp_arrays.pop(kind, None)
+        self._cell_tables.pop(kind, None)
         self._stamps[kind] = (now if moving else None, self._batch_version)
         return now
 
@@ -327,11 +353,12 @@ class Medium:
         ``index_of`` maps ``_medium_seq`` back to array index.  With a
         cell ``size``, ``order`` sorts radios by packed cell id (stable,
         so attach order survives within a cell) and ``sorted_cid`` is the
-        matching sorted id array — together they make one cell-column
-        gather a pair of binary searches; without one (unbounded model)
-        both are None.  Raises ValueError for a radio whose cell index
-        lies beyond ``_CELL_LIMIT`` (or is not finite), where the packed
-        id would wrap.  Call through :meth:`_ensure_stamp` first.
+        matching sorted id array — together they make a cell's 5×5 window
+        five slices found by binary search (see :meth:`_gather`); without
+        one (unbounded model) both are None.  Raises ValueError for a
+        radio whose cell index lies beyond ``_CELL_LIMIT`` (or is not
+        finite), where the packed id would wrap.  Call through
+        :meth:`_ensure_stamp` first.
         """
         entry = self._stamp_arrays.get(kind)
         if entry is not None:
@@ -384,21 +411,20 @@ class Medium:
     ) -> _CellBatch:
         """Query stage: the cached candidate batch covering ``origin``'s cell.
 
-        Cells are ``cutoff`` meters square.  One gather serves every
+        Cells are ``cutoff`` meters square.  One batch serves every
         same-cell sender while ``kind``'s stamp holds (see
-        :meth:`_ensure_stamp`).  The batch must contain every
-        radio within ``cutoff`` of *any* origin in the cell — i.e. within
-        Chebyshev ``cutoff + size/2`` of the cell center — and is free to
-        contain more: candidates beyond ``cutoff`` have delivery
-        probability 0 (no frame, no draw).  The gather is a column-slice
-        scan of the per-stamp binned arrays (:meth:`_kind_arrays`),
-        trimmed to the disk that provably covers every origin in the cell
-        — ``cutoff + 0.75·size``, a safe margin over the cell
-        half-diagonal (``size·√2/2``).  A ``cutoff`` of None (unbounded
-        model, or a zero range that gives no cell size) means one batch
-        of every radio of ``kind``.  Invalidated whenever a radio
-        attaches, detaches or changes mobility, and — only while one of
-        ``kind``'s radios can move — whenever the clock advances.
+        :meth:`_ensure_stamp`); it is a row of a :meth:`_gather`.  The
+        stamp's first lookup gathers only its own cell.  Its second
+        distinct cell builds the table of every occupied cell
+        (:meth:`_cell_table`) and every later lookup slices it, so a stamp
+        that serves one cell — a mover scene with one sender per instant —
+        never pays for a pass over the whole scene, and a stamp that serves
+        thousands pays for one.  A cell no radio occupies (an origin off
+        every attached radio) is gathered on its own.  A ``cutoff`` of
+        None (unbounded model, or a zero range that gives no cell size)
+        means one batch of every radio of ``kind``.  Invalidated whenever a
+        radio attaches, detaches or changes mobility, and — only while one
+        of ``kind``'s radios can move — whenever the clock advances.
         """
         now = self._ensure_stamp(kind)
         size = cutoff
@@ -411,45 +437,138 @@ class Medium:
         if batch is not None:
             self.batch_cache_hits += 1
             return batch
-        self.batch_cache_misses += 1
-        radios, xs_all, ys_all, _, order, sorted_cid = (
-            self._kind_arrays(kind, now, size)
-        )
+        arrays = self._kind_arrays(kind, now, size)
+        radios = arrays[0]
         if cell is None:
-            batch = _CellBatch(radios, xs_all, ys_all, range(len(radios)))
+            self.batch_cache_misses += 1
+            batch = _CellBatch(radios, arrays[1], arrays[2], range(len(radios)))
             cache[cell] = batch
             return batch
-        # Every cell whose box meets the required Chebyshev disk: offset
-        # d qualifies iff (d - 0.5)·size ≤ cutoff + 0.5·size, so d ≤ 2.
-        pieces = []
-        lo_id = cell[1] - 2
-        hi_id = cell[1] + 2
-        for cx in range(cell[0] - 2, cell[0] + 3):
-            base = cx * _CELL_STRIDE
-            lo = np.searchsorted(sorted_cid, base + lo_id)
-            hi = np.searchsorted(sorted_cid, base + hi_id, side="right")
-            if lo != hi:
-                pieces.append(order[lo:hi])
-        if not pieces:
-            batch = _CellBatch([], xs_all[:0], ys_all[:0], [])
-            cache[cell] = batch
-            return batch
-        idx = pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
-        idx = np.sort(idx)  # index order == ascending attach order
-        xs = xs_all[idx]
-        ys = ys_all[idx]
-        reach = cutoff + 0.75 * size
-        dxc = xs - (cell[0] + 0.5) * size
-        dyc = ys - (cell[1] + 0.5) * size
-        near = (dxc * dxc + dyc * dyc) <= reach * reach
-        if not near.all():
-            idx = idx[near]
-            xs = xs[near]
-            ys = ys[near]
-        index = idx.tolist()
-        batch = _CellBatch([radios[i] for i in index], xs, ys, index)
+        cid = cell[0] * _CELL_STRIDE + cell[1]
+        table = self._cell_tables.get(kind)
+        # A table needs two occupied cells, hence two radios.
+        gathered = table is None and bool(cache) and len(radios) > 1
+        if gathered:
+            table = self._cell_tables[kind] = self._cell_table(arrays, size)
+        row = -1 if table is None else table[0].get(cid, -1)
+        if row < 0:
+            bounds = np.searchsorted(arrays[5], cid + _WINDOW).reshape(1, -1)
+            _, index_all, xs, ys = self._gather(arrays, cell[0], cell[1],
+                                                bounds, size)
+            start, stop = 0, len(index_all)
+            gathered = True
+        else:
+            _, indptr, index_all, xs, ys = table
+            start, stop = indptr[row], indptr[row + 1]
+        if gathered:
+            self.batch_cache_misses += 1
+        else:
+            self.batch_cache_hits += 1
+        index = index_all[start:stop].tolist()
+        batch = _CellBatch([radios[i] for i in index], xs[start:stop],
+                           ys[start:stop], index)
         cache[cell] = batch
         return batch
+
+    def _cell_table(self, arrays: tuple, size: float) -> tuple:
+        """The stamp's candidate table: a :meth:`_gather` of every occupied cell.
+
+        Returns ``(rows, indptr, index, xs, ys)``: ``rows`` maps a packed
+        cell id to its row, and row ``r`` is ``index[indptr[r]:indptr[r +
+        1]]`` with its coordinates at the same slice of ``xs``/``ys``.  The
+        occupied cells are the distinct ids of the stamp's cell-sorted
+        arrays (:meth:`_kind_arrays`).  They are gathered in blocks of about
+        ``_TABLE_BLOCK`` candidates before the trim, so the pass's transient
+        arrays stay small at any density.
+        """
+        sorted_cid = arrays[5]
+        first = np.empty(len(sorted_cid), dtype=bool)
+        first[0] = True
+        np.not_equal(sorted_cid[1:], sorted_cid[:-1], out=first[1:])
+        cells = sorted_cid[first]
+        bounds = np.searchsorted(sorted_cid, cells.reshape(-1, 1) + _WINDOW)
+        # Unpack each id, cx·2**32 + cy with |cy| < 2**31.
+        cell_x = (cells + (1 << 31)) >> 32
+        cell_y = cells - (cell_x << 32)
+        ends = np.cumsum((bounds[:, 5:] - bounds[:, :5]).sum(axis=1))
+        edges = np.searchsorted(
+            ends, np.arange(0, ends[-1], _TABLE_BLOCK), side="right"
+        ).tolist()
+        edges.append(len(cells))
+        parts = [
+            self._gather(arrays, cell_x[start:stop], cell_y[start:stop],
+                         bounds[start:stop], size)
+            for start, stop in zip(edges, edges[1:]) if start < stop
+        ]
+        if len(parts) == 1:
+            counts, index, xs, ys = parts[0]
+        else:
+            counts, index, xs, ys = (
+                np.concatenate([part[i] for part in parts]) for i in range(4)
+            )
+        indptr = [0]
+        indptr.extend(np.cumsum(counts).tolist())
+        rows = dict(zip(cells.tolist(), range(len(cells))))
+        return rows, indptr, index, xs, ys
+
+    def _gather(self, arrays: tuple, cell_x, cell_y, bounds,
+                size: float) -> tuple:
+        """Candidate rows of the cells ``(cell_x, cell_y)`` in one numpy pass.
+
+        The cell indices are int64 arrays, or ints for a single cell.
+        ``bounds`` is ``_WINDOW`` around each cell's packed id, searched in
+        the stamp's sorted ids: the cell's 5×5-cell window as five column
+        slices of the cell-sorted order.  Every cell whose box meets the
+        disk the cell's senders can reach lies in it: offset d qualifies
+        iff (d - 0.5)·size ≤ cutoff + 0.5·size, so d ≤ 2.  Row ``r`` holds
+        every radio of cell ``r``'s window within the disk that provably
+        covers every origin in the cell — ``cutoff + 0.75·size`` from its
+        centre, a safe margin over the cell half-diagonal (``size·√2/2``) —
+        in ascending array index, which is ascending attach order.  Every
+        row takes the same float operations, so a batch's bytes do not
+        depend on how many cells its pass gathered.  Returns ``(counts,
+        index, xs, ys)``: each row's length, then the rows back to back
+        with their coordinates.
+        """
+        _, xs_all, ys_all, _, order, _ = arrays
+        lo = bounds[:, :5].ravel()
+        lengths = bounds[:, 5:].ravel() - lo
+        ends = np.cumsum(lengths)
+        # Every column slice's positions in the cell-sorted order.
+        index = order[
+            np.arange(ends[-1]) + np.repeat(lo - ends + lengths, lengths)
+        ]
+        centre_x = (cell_x + 0.5) * size
+        centre_y = (cell_y + 0.5) * size
+        count = len(bounds)
+        if count == 1:
+            index.sort()  # index order == ascending attach order
+        else:
+            # Sort every row at once on a row-major key.
+            row = np.repeat(np.arange(count),
+                            lengths.reshape(count, 5).sum(axis=1))
+            stride = len(order)
+            key = row * stride + index
+            key.sort()
+            row = key // stride
+            index = key - row * stride
+            centre_x = centre_x[row]
+            centre_y = centre_y[row]
+        xs = xs_all[index]
+        ys = ys_all[index]
+        reach = size + 0.75 * size
+        dxc = xs - centre_x
+        dyc = ys - centre_y
+        near = (dxc * dxc + dyc * dyc) <= reach * reach
+        if not near.all():
+            index = index[near]
+            xs = xs[near]
+            ys = ys[near]
+            if count > 1:
+                row = row[near]
+        if count == 1:
+            return [len(index)], index, xs, ys
+        return np.bincount(row, minlength=count), index, xs, ys
 
     def in_range(self, a: Radio, b: Radio) -> bool:
         """True if radios ``a`` and ``b`` are within their technology's range."""

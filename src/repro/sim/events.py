@@ -42,7 +42,14 @@ class EventHandle:
 
     def __lt__(self, other: "EventHandle") -> bool:
         # heapq ordering: time first, then insertion order for determinism.
-        return (self.time, self.seq) < (other.time, other.seq)
+        # The order of the (time, seq) tuples, without building them: the
+        # scheduler admits no NaN time, and -0.0 == 0.0 ties on seq here
+        # as it does there.
+        time = self.time
+        other_time = other.time
+        return time < other_time or (
+            time == other_time and self.seq < other.seq
+        )
 
     def __repr__(self) -> str:
         state = "cancelled" if self._cancelled else "pending"

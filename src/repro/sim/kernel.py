@@ -127,7 +127,7 @@ class PeriodicTask:
         jitter_fraction: float,
         rng: SeededRng,
     ) -> None:
-        if period <= 0:
+        if not period > 0:
             raise ValueError(f"period must be > 0, got {period}")
         self._kernel = kernel
         self.period = period
@@ -158,7 +158,7 @@ class PeriodicTask:
 
     def set_period(self, period: float) -> None:
         """Change the period; takes effect from the next firing."""
-        if period <= 0:
+        if not period > 0:
             raise ValueError(f"period must be > 0, got {period}")
         self.period = period
 

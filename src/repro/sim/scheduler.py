@@ -42,8 +42,12 @@ class EventScheduler:
         self._pending -= 1
 
     def schedule_at(self, time: float, callback: Callable[[], Any]) -> EventHandle:
-        """Schedule ``callback`` to run at absolute simulation ``time``."""
-        if time < self._now:
+        """Schedule ``callback`` to run at absolute simulation ``time``.
+
+        A time before now, or NaN (which compares false with everything,
+        so would otherwise jump the heap's order), raises.
+        """
+        if not time >= self._now:
             raise SchedulingInPastError(
                 f"cannot schedule at t={time} (now is t={self._now})"
             )
@@ -56,7 +60,7 @@ class EventScheduler:
 
     def schedule(self, delay: float, callback: Callable[[], Any]) -> EventHandle:
         """Schedule ``callback`` to run ``delay`` seconds from now."""
-        if delay < 0:
+        if not delay >= 0:
             raise SchedulingInPastError(f"delay must be >= 0, got {delay}")
         return self.schedule_at(self._now + delay, callback)
 
@@ -138,7 +142,7 @@ class EventScheduler:
         drains early, so periodic measurements (e.g. energy integration) have
         a well-defined window.
         """
-        if deadline < self._now:
+        if not deadline >= self._now:
             raise SchedulingInPastError(
                 f"cannot run until t={deadline} (now is t={self._now})"
             )
@@ -157,7 +161,7 @@ class EventScheduler:
         next window and stay in the heap.  The clock still ends exactly at
         ``deadline``, so a follow-up ``run_before(t2)`` picks up seamlessly.
         """
-        if deadline < self._now:
+        if not deadline >= self._now:
             raise SchedulingInPastError(
                 f"cannot run before t={deadline} (now is t={self._now})"
             )

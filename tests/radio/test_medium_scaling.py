@@ -5,8 +5,9 @@ its neighbourhood instead of every radio of its technology, and so that
 radios are positioned once per stamp instead of once per broadcast (see
 the ``repro.radio.medium`` docstring).  These tests count that work on
 fixed layouts — candidates examined per broadcast, ``position_at`` and
-``max_speed`` calls, and batch-cache misses — so a regression that turns
-pruning or caching off fails here on any host, however fast.  The scalar
+``max_speed`` calls, gather passes and the cells each gathers — so a
+regression that turns pruning, caching or the per-stamp candidate table
+off fails here on any host, however fast.  The scalar
 reference medium (``tests/reference_medium.py``) examines every other
 radio of the technology per broadcast: 199 on these 200-radio layouts.
 
@@ -52,16 +53,27 @@ DENSE_SPEC = ScenarioSpec(
 
 
 class _CountingMedium(Medium):
-    """Counts the candidates each query-stage gather hands a broadcast."""
+    """Counts the candidates each query-stage lookup hands a broadcast,
+    the cells each gather pass gathers, and the whole-table passes."""
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self.candidates = 0
+        self.gathered_cells = []
+        self.tables = 0
 
     def _cell_batch(self, *args):
         batch = super()._cell_batch(*args)
         self.candidates += len(batch.radios)
         return batch
+
+    def _cell_table(self, *args):
+        self.tables += 1
+        return super()._cell_table(*args)
+
+    def _gather(self, arrays, cell_x, cell_y, bounds, size):
+        self.gathered_cells.append(len(bounds))
+        return super()._gather(arrays, cell_x, cell_y, bounds, size)
 
 
 def _count_calls(monkeypatch: pytest.MonkeyPatch, method: str) -> list:
@@ -90,8 +102,8 @@ def _scanner(kernel: Kernel, node, medium: Medium) -> BleRadio:
 
 def test_static_layout_positions_once_and_prunes(monkeypatch):
     """200 fixed scanners, 40 rounds at advancing instants: one position
-    pass, one mover check and one gather per occupied cell for the whole
-    run."""
+    pass, one mover check and two gather passes — the first sender's cell,
+    then the table of every occupied cell — for the whole run."""
     kernel = Kernel(seed=5)
     world = World(kernel)
     medium = _CountingMedium(kernel, world)
@@ -114,14 +126,16 @@ def test_static_layout_positions_once_and_prunes(monkeypatch):
     assert medium.frames_delivered > 0
     assert positions[0] == NODE_COUNT
     assert speed_reads[0] <= NODE_COUNT
-    assert medium.batch_cache_misses <= NODE_COUNT
+    assert medium.batch_cache_misses <= 2
+    assert medium.tables == 1
     assert medium.candidates <= MAX_CANDIDATES_PER_BROADCAST * medium.frames_sent
 
 
 def test_all_mobile_layout_positions_once_per_instant_and_prunes(monkeypatch):
     """200 walkers beaconing at 20 instants: each walker is positioned
-    once per instant, never once per broadcast, and the first walker
-    proves the technology a mover once for the whole run."""
+    once per instant, never once per broadcast, the first walker proves
+    the technology a mover once for the whole run, and each instant runs
+    at most two gather passes, never one per occupied cell."""
     kernel = Kernel(seed=9)
     world = World(kernel)
     medium = _CountingMedium(kernel, world)
@@ -146,6 +160,38 @@ def test_all_mobile_layout_positions_once_per_instant_and_prunes(monkeypatch):
     assert medium.frames_delivered > 0
     assert positions[0] == NODE_COUNT * 20
     assert speed_reads[0] <= 2
+    assert medium.batch_cache_misses <= 2 * 20
+    assert medium.tables <= 20
+    assert medium.candidates <= MAX_CANDIDATES_PER_BROADCAST * medium.frames_sent
+
+
+def test_one_sender_per_instant_gathers_only_its_own_cell():
+    """200 walkers, each beaconing at an instant of its own, twice: every
+    broadcast is its stamp's only lookup, so it gathers its own cell and
+    the whole-table pass never runs (Fig 7's ferry has this shape)."""
+    kernel = Kernel(seed=9)
+    world = World(kernel)
+    medium = _CountingMedium(kernel, world)
+    radios = []
+    for i in range(NODE_COUNT):
+        walk = RandomWaypoint(
+            kernel.rng.child("walk", str(i)),
+            width=ARENA_M,
+            height=ARENA_M,
+            speed=1.0 + 0.1 * (i % 10),
+        )
+        node = world.add_node(f"m{i}", mobility=walk)
+        radios.append(_scanner(kernel, node, medium))
+    for round_index in range(2):
+        for i, radio in enumerate(radios):
+            kernel.run_until(10.0 * round_index + 0.01 * (i + 1))
+            radio.advertise_once(b"solo")
+    kernel.run()
+    assert medium.frames_sent == NODE_COUNT * 2
+    assert medium.frames_delivered > 0
+    assert medium.tables == 0
+    assert medium.gathered_cells == [1] * medium.frames_sent
+    assert medium.batch_cache_misses == medium.frames_sent
     assert medium.candidates <= MAX_CANDIDATES_PER_BROADCAST * medium.frames_sent
 
 

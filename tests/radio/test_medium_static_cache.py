@@ -9,8 +9,9 @@ can move, and hold that cache to the scalar oracle
 (:mod:`tests.reference_medium`) under churn — attaches, detaches,
 teleports, a ferry that leaves on a ``WaypointPath`` and docks again,
 power and scan toggles.  A Hypothesis test pins the cell edges that
-long-lived batches rely on, and the coordinate limit beyond which the
-packed cell id would wrap.
+long-lived batches rely on — of a stamp's first, one-cell gather and of
+its table of every occupied cell — and the coordinate limit beyond which
+the packed cell id would wrap.
 """
 
 from __future__ import annotations
@@ -324,7 +325,8 @@ EDGE_M = _CELL_LIMIT * CUTOFF
 
 def _two_instants(medium_cls, positions):
     """Every radio beacons at t=0 and again at t=1; the log, the reachable
-    sets and the counters."""
+    sets and the counters, then the medium.  The first radio's cell is the
+    stamp's first lookup; a second occupied cell builds its table."""
     kernel = Kernel(seed=5)
     world = World(kernel)
     medium = medium_cls(kernel, world)
@@ -349,7 +351,7 @@ def _two_instants(medium_cls, positions):
             radio.advertise_once(bytes([instant, i]))
     kernel.run_until(2.0)
     return (heard, reach, medium.frames_sent, medium.frames_delivered,
-            medium.frames_dropped)
+            medium.frames_dropped), medium
 
 
 _NEAR = st.floats(min_value=-2e3, max_value=2e3)
@@ -384,10 +386,36 @@ def _scenes(draw):
 # A receiver at exactly the cutoff: UnitDisk's closed <=.
 @example(positions=[(0.0, 0.0), (CUTOFF, 0.0)])
 # The cutoff + 0.75·size trim: a sender at a cell corner, its receiver one
-# cutoff away diagonally outward, ~51.2 m from the cell centre.
+# cutoff away diagonally outward, ~51.2 m from the cell centre.  In the
+# first two the receiver lies 4e-15 m beyond the cutoff, in the last two
+# 4e-15 m inside it, where a tighter trim would lose a delivery.
 @example(positions=[(0.0, 0.0), (-21.213203435596427, -21.213203435596427)])
 @example(positions=[(29.999999999999996, 29.999999999999996),
                     (51.21320343559643, 51.21320343559643)])
+@example(positions=[(0.0, 0.0), (-21.213203435596423, -21.213203435596423)])
+@example(positions=[(29.999999999999996, 29.999999999999996),
+                    (51.21320343559642, 51.21320343559642)])
+# The same edges in the table pass: the first radio, far away, takes the
+# stamp's one-cell gather, so the cells after it are rows of the table.
+@example(positions=[(600.0, 600.0), (60.0, 0.0), (59.99999999999999, 0.0),
+                    (89.99999999999999, 0.0), (90.0, 0.0)])
+@example(positions=[(600.0, 600.0), (-0.0, -0.0), (-5e-324, 0.0),
+                    (0.0, -5e-324), (5e-324, 5e-324)])
+@example(positions=[(600.0, 600.0), (15.0, 15.0), (45.0, 15.0),
+                    (15.0, -15.0), (-15.0, 15.0)])
+@example(positions=[(600.0, 600.0), (0.0, 0.0),
+                    (-21.213203435596423, -21.213203435596423)])
+@example(positions=[(600.0, 600.0), (29.999999999999996, 29.999999999999996),
+                    (51.21320343559642, 51.21320343559642)])
+# Tables at the coordinate limit, whose 5×5 windows pack ids to within
+# 2**32 of either end of int64.
+@example(positions=[(EDGE_M + 15.0, EDGE_M + 15.0),
+                    (EDGE_M - 15.0, EDGE_M + 15.0),
+                    (EDGE_M + 15.0, EDGE_M - 15.0),
+                    (EDGE_M - 45.0, EDGE_M - 45.0)])
+@example(positions=[(-EDGE_M, -EDGE_M), (-EDGE_M + 30.0, -EDGE_M),
+                    (-EDGE_M, -EDGE_M + 30.0),
+                    (-EDGE_M + 45.0, -EDGE_M + 45.0)])
 def test_cell_edges_match_the_oracle_and_far_coordinates_raise(positions):
     beyond = any(
         abs(math.floor(c / CUTOFF)) > _CELL_LIMIT
@@ -397,6 +425,11 @@ def test_cell_edges_match_the_oracle_and_far_coordinates_raise(positions):
         with pytest.raises(ValueError, match="coordinate limit"):
             _two_instants(Medium, positions)
     else:
-        assert _two_instants(Medium, positions) == _two_instants(
-            ReferenceMedium, positions
-        )
+        result, medium = _two_instants(Medium, positions)
+        assert result == _two_instants(ReferenceMedium, positions)[0]
+        # One gather for the first cell, one table for the rest, if any.
+        cells = {
+            (math.floor(x / CUTOFF), math.floor(y / CUTOFF))
+            for x, y in positions
+        }
+        assert medium.batch_cache_misses == min(len(cells), 2)

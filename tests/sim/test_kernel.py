@@ -76,9 +76,13 @@ def test_periodic_task_set_period(kernel):
 def test_periodic_task_rejects_bad_period(kernel):
     with pytest.raises(ValueError):
         kernel.every(0.0, lambda: None)
+    with pytest.raises(ValueError):
+        kernel.every(float("nan"), lambda: None)
     task = kernel.every(1.0, lambda: None)
     with pytest.raises(ValueError):
         task.set_period(-1.0)
+    with pytest.raises(ValueError):
+        task.set_period(float("nan"))
 
 
 def test_periodic_jitter_stays_within_fraction(kernel):

@@ -6,6 +6,8 @@ from hypothesis import given, strategies as st
 from repro.sim.errors import SchedulingInPastError
 from repro.sim.scheduler import EventScheduler
 
+NAN = float("nan")
+
 
 def test_events_fire_in_time_order():
     scheduler = EventScheduler()
@@ -122,6 +124,13 @@ def test_scheduling_in_past_raises():
         scheduler.schedule_at(0.5, lambda: None)
     with pytest.raises(SchedulingInPastError):
         scheduler.schedule(-0.1, lambda: None)
+    # NaN compares false with every time: admitted, it would run first and
+    # leave the clock at NaN.
+    with pytest.raises(SchedulingInPastError):
+        scheduler.schedule_at(NAN, lambda: None)
+    with pytest.raises(SchedulingInPastError):
+        scheduler.schedule(NAN, lambda: None)
+    assert len(scheduler) == 0
 
 
 def test_run_until_backwards_raises():
@@ -129,6 +138,12 @@ def test_run_until_backwards_raises():
     scheduler.run_until(5.0)
     with pytest.raises(SchedulingInPastError):
         scheduler.run_until(4.0)
+    fired = []
+    scheduler.schedule_at(1e9, lambda: fired.append("late"))
+    with pytest.raises(SchedulingInPastError):
+        scheduler.run_until(NAN)
+    assert fired == []
+    assert scheduler.now == 5.0
 
 
 def test_callback_may_schedule_more_events():
@@ -211,6 +226,12 @@ def test_run_before_backwards_raises():
     scheduler.run_before(5.0)
     with pytest.raises(SchedulingInPastError):
         scheduler.run_before(4.0)
+    fired = []
+    scheduler.schedule_at(1e9, lambda: fired.append("late"))
+    with pytest.raises(SchedulingInPastError):
+        scheduler.run_before(NAN)
+    assert fired == []
+    assert scheduler.now == 5.0
 
 
 def test_step_batch_executes_all_ties_at_once():
