@@ -12,10 +12,13 @@ is exact.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from repro.sim.kernel import Kernel
 from repro.util.validation import check_non_negative
+
+if TYPE_CHECKING:
+    from repro.net.flow_energy import FlowEnergyAccountant
 
 #: Payload format tag for :meth:`EnergyMeter.timeline_payload`.
 ENERGY_TIMELINE_FORMAT = "repro.energy.timeline/v1"
@@ -54,6 +57,9 @@ class EnergyMeter:
         self._last_update = kernel.now
         self._peak_ma = 0.0
         self._timeline: Optional[List[Tuple[float, str, float]]] = None
+        #: The device's flow accountant, made by
+        #: :func:`repro.net.flow_energy.accountant_for` on its first flow.
+        self.flow_accountant: Optional["FlowEnergyAccountant"] = None
 
     # -- component draws -----------------------------------------------------
 

@@ -18,7 +18,7 @@ model has three physically-motivated terms:
 Crucially, all three terms are computed from the device's **summed** flow
 rates, not per flow: ten concurrent trickles wake one radio, not ten, and
 the CPU saturates once.  Each device gets one :class:`FlowEnergyAccountant`
-(keyed weakly by its meter) that owns three meter components:
+(kept on its meter) that owns three meter components:
 ``wifi.flow-tx``, ``wifi.flow-rx``, and ``wifi.flow-cpu``.
 
 All constants are calibration inputs documented in EXPERIMENTS.md.
@@ -26,7 +26,6 @@ All constants are calibration inputs documented in EXPERIMENTS.md.
 
 from __future__ import annotations
 
-import weakref
 from typing import Dict
 
 from repro.energy.constants import WIFI_RECEIVE_MA, WIFI_SEND_MA
@@ -89,17 +88,11 @@ class FlowEnergyAccountant:
         self.meter.set_draw("wifi.flow-cpu", surcharge)
 
 
-_ACCOUNTANTS: "weakref.WeakKeyDictionary[EnergyMeter, FlowEnergyAccountant]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
 def accountant_for(meter: EnergyMeter) -> FlowEnergyAccountant:
     """The per-device accountant for ``meter`` (created on first use)."""
-    accountant = _ACCOUNTANTS.get(meter)
+    accountant = meter.flow_accountant
     if accountant is None:
-        accountant = FlowEnergyAccountant(meter)
-        _ACCOUNTANTS[meter] = accountant
+        accountant = meter.flow_accountant = FlowEnergyAccountant(meter)
     return accountant
 
 

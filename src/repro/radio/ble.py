@@ -46,6 +46,12 @@ DATA_FRAME_INTERVAL_S = 0.040
 ScanHandler = Callable[[bytes, MacAddress, float], None]
 
 
+def _check_interval(interval_s: float) -> None:
+    """Reject a non-positive or NaN advertising interval."""
+    if not interval_s > 0:
+        raise ValueError(f"interval must be > 0, got {interval_s}")
+
+
 class AdvertisingSet:
     """One periodic advertisement registered with :meth:`BleRadio.start_advertising`."""
 
@@ -58,13 +64,17 @@ class AdvertisingSet:
 
     def update(self, payload: Optional[bytes] = None,
                interval_s: Optional[float] = None) -> None:
-        """Change the payload and/or interval of a live advertisement."""
+        """Change the payload and/or interval of a live advertisement.
+
+        Both are checked before either changes.
+        """
         if payload is not None:
             self.radio._check_payload(payload)
+        if interval_s is not None:
+            _check_interval(interval_s)
+        if payload is not None:
             self.payload = payload
         if interval_s is not None:
-            if interval_s <= 0:
-                raise ValueError(f"interval must be > 0, got {interval_s}")
             self.interval_s = interval_s
             if self._task is not None:
                 self._task.set_period(interval_s)
@@ -142,9 +152,10 @@ class BleRadio(Radio):
         if not self.enabled:
             raise RuntimeError(f"{self.name}: cannot advertise while disabled")
         self._check_payload(payload)
+        _check_interval(interval_s)
         adv_set = AdvertisingSet(self, payload, interval_s)
-        adv_set.active = True
-        self._advertising_sets.append(adv_set)
+        # Kernel.every checks the jitter before it schedules anything, so a
+        # bad argument leaves no set behind.
         adv_set._task = self.kernel.every(
             interval_s,
             lambda: self._advertise_event(adv_set),
@@ -152,6 +163,8 @@ class BleRadio(Radio):
             jitter_fraction=jitter_fraction,
             rng=self._scan_rng,
         )
+        adv_set.active = True
+        self._advertising_sets.append(adv_set)
         return adv_set
 
     def advertise_once(self, payload: bytes) -> int:

@@ -1,7 +1,9 @@
 """Deterministic discrete-event simulation kernel.
 
 This is the substrate replacing the paper's Raspberry Pi testbed: a virtual
-clock, an event heap with deterministic tie-breaking, SimPy-style generator
+clock, an event scheduler that keeps one FIFO list of events per instant
+(so ties break in schedule order) and runs each large drain with the
+already-built scene frozen out of the cycle collector, SimPy-style generator
 processes, and the queue primitives that the Omni architecture's
 queue-sharing contract (paper Sec 3.2) is built on.
 """

@@ -1,56 +1,51 @@
 """Scheduled-callback handles.
 
 The scheduler hands out an :class:`EventHandle` for every scheduled callback;
-holding the handle allows cancellation, which the kernel implements lazily
-(cancelled handles stay in the heap but are skipped when popped).
+holding the handle allows cancellation, which the scheduler implements
+lazily: a cancelled handle stays in its instant's list with its callback
+dropped, and is skipped when its turn comes.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from typing import TYPE_CHECKING, Any, Callable, Optional
+
+if TYPE_CHECKING:
+    from repro.sim.scheduler import EventScheduler
 
 
 class EventHandle:
-    """A cancellable reference to one scheduled callback."""
+    """A cancellable reference to one scheduled callback.
 
-    __slots__ = ("time", "seq", "callback", "_cancelled", "_scheduler")
+    ``callback`` is None once the event has fired or been cancelled; that
+    is how the scheduler tells a live event from a dead one.
+    """
 
-    def __init__(self, time: float, seq: int, callback: Callable[[], Any]) -> None:
+    __slots__ = ("time", "callback", "_cancelled", "_scheduler")
+
+    def __init__(self, time: float, callback: Callable[[], Any],
+                 scheduler: "EventScheduler") -> None:
         self.time = time
-        self.seq = seq
         self.callback: Optional[Callable[[], Any]] = callback
         self._cancelled = False
-        # Back-reference used for O(1) pending-event accounting; set by the
-        # scheduler on push, cleared when the event fires or is cancelled.
-        self._scheduler = None
+        # The scheduler whose pending count a cancel() before firing drops.
+        self._scheduler = scheduler
 
     @property
     def cancelled(self) -> bool:
-        """True if :meth:`cancel` was called before the event fired."""
+        """True once :meth:`cancel` has been called."""
         return self._cancelled
 
     def cancel(self) -> None:
         """Prevent the callback from running. Idempotent."""
-        if self._cancelled:
-            return
         self._cancelled = True
-        self.callback = None  # release closure references eagerly
-        scheduler = self._scheduler
-        if scheduler is not None:
-            self._scheduler = None
-            scheduler._event_cancelled()
-
-    def __lt__(self, other: "EventHandle") -> bool:
-        # heapq ordering: time first, then insertion order for determinism.
-        # The order of the (time, seq) tuples, without building them: the
-        # scheduler admits no NaN time, and -0.0 == 0.0 ties on seq here
-        # as it does there.
-        time = self.time
-        other_time = other.time
-        return time < other_time or (
-            time == other_time and self.seq < other.seq
-        )
+        if self.callback is not None:  # neither fired nor cancelled yet
+            self.callback = None  # release closure references eagerly
+            self._scheduler._event_cancelled()
 
     def __repr__(self) -> str:
-        state = "cancelled" if self._cancelled else "pending"
-        return f"EventHandle(t={self.time:.6f}, seq={self.seq}, {state})"
+        if self._cancelled:
+            state = "cancelled"
+        else:
+            state = "pending" if self.callback is not None else "fired"
+        return f"EventHandle(t={self.time:.6f}, {state})"

@@ -17,7 +17,7 @@ from repro.util.rng import SeededRng
 
 
 class Kernel:
-    """Owns the virtual clock, event heap, RNG tree, and running processes."""
+    """Owns the virtual clock, event scheduler, RNG tree, and running processes."""
 
     def __init__(self, seed: int = 0) -> None:
         self.scheduler = EventScheduler()
@@ -53,7 +53,9 @@ class Kernel:
         """Run ``callback`` periodically until the returned task is cancelled.
 
         ``jitter_fraction`` perturbs each period by ±fraction using ``rng``
-        (or the kernel RNG), modelling imperfect timers in real stacks.
+        (or the kernel RNG), modelling imperfect timers in real stacks.  A
+        period that is not positive, a NaN ``start_after`` or a fraction
+        outside [0, 1) raises ValueError here, before anything is scheduled.
         """
         task = PeriodicTask(self, period, callback, jitter_fraction, rng or self.rng)
         task.start(start_after if start_after is not None else period)
@@ -129,6 +131,11 @@ class PeriodicTask:
     ) -> None:
         if not period > 0:
             raise ValueError(f"period must be > 0, got {period}")
+        # A fraction of 1 or more can draw a non-positive period.
+        if not 0.0 <= jitter_fraction < 1.0:
+            raise ValueError(
+                f"jitter_fraction must be in [0, 1), got {jitter_fraction}"
+            )
         self._kernel = kernel
         self.period = period
         self._callback = callback
@@ -140,6 +147,8 @@ class PeriodicTask:
 
     def start(self, first_delay: float) -> None:
         """(Re)arm the task; used internally by :meth:`Kernel.every`."""
+        if first_delay != first_delay:  # NaN: max(0.0, nan) would be 0.0
+            raise ValueError("start_after must not be NaN")
         if self._cancelled:
             return
         self._handle = self._kernel.call_in(max(0.0, first_delay), self._fire)

@@ -1,27 +1,51 @@
-"""The event scheduler: a deterministic time-ordered callback heap."""
+"""The event scheduler: timed callbacks, bucketed by instant.
+
+Pending events sit in one FIFO list per *instant* (distinct simulated
+time), and a min-heap holds only the distinct times, as floats.  A beacon
+round puts thousands of events on a handful of instants, so ordering costs
+a few C float comparisons per instant instead of a Python comparison per
+event.
+
+A *drain* (one call of :meth:`EventScheduler.run_until`, ``run_before`` or
+``run``) that starts with a queue as long as the cycle collector's
+generation-0 threshold freezes everything built before it out of the
+collector (:func:`gc.freeze`) and thaws it on exit, so the full collections
+its own garbage sets off traverse only what the drain allocated, not the
+whole built scene.  Nothing under ``repro`` holds a weak reference or
+defines ``__del__``, so when the collector runs cannot change a result.
+"""
 
 from __future__ import annotations
 
+import contextlib
+import gc
 import heapq
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, Dict, Iterator, List, Optional
 
 from repro.sim.errors import SchedulingInPastError
 from repro.sim.events import EventHandle
 
 
 class EventScheduler:
-    """A min-heap of timed callbacks with deterministic tie-breaking.
+    """Timed callbacks with deterministic tie-breaking.
 
-    Two events scheduled for the same instant fire in the order they were
-    scheduled (FIFO), which keeps simulations reproducible regardless of heap
-    internals.
+    Events fire in time order, and two events for the same instant fire in
+    the order they were scheduled (FIFO), which keeps simulations
+    reproducible.
     """
 
     def __init__(self) -> None:
-        self._heap: List[EventHandle] = []
-        self._seq = 0
+        # instant -> its events in schedule order.  -0.0 and 0.0 are one
+        # key (they compare and hash equal); each handle keeps its own time.
+        self._buckets: Dict[float, List[EventHandle]] = {}
+        self._times: List[float] = []  # min-heap of the keys of _buckets
+        # The head bucket that step() and peek_time() have walked into, and
+        # the index of its first event they have not passed: every event
+        # before it has fired or been cancelled.
+        self._head: Optional[List[EventHandle]] = None
+        self._first = 0
         self._now = 0.0
-        self._pending = 0  # live count of non-cancelled events in the heap
+        self._pending = 0  # events neither fired nor cancelled
 
     @property
     def now(self) -> float:
@@ -29,11 +53,10 @@ class EventScheduler:
         return self._now
 
     def __len__(self) -> int:
-        """Number of pending (non-cancelled) events.
+        """Number of pending events: neither fired nor cancelled.
 
-        Maintained incrementally on push/pop/cancel, so this is O(1) — it
-        used to re-scan the whole heap, which made innocent-looking progress
-        checks (``while len(scheduler): ...``) quadratic.
+        Maintained on schedule, fire and cancel, so it is O(1) and exact
+        everywhere, inside a batch's callbacks too.
         """
         return self._pending
 
@@ -45,17 +68,20 @@ class EventScheduler:
         """Schedule ``callback`` to run at absolute simulation ``time``.
 
         A time before now, or NaN (which compares false with everything,
-        so would otherwise jump the heap's order), raises.
+        so would otherwise jump the queue's order), raises.
         """
         if not time >= self._now:
             raise SchedulingInPastError(
                 f"cannot schedule at t={time} (now is t={self._now})"
             )
-        handle = EventHandle(time, self._seq, callback)
-        handle._scheduler = self
-        self._seq += 1
+        handle = EventHandle(time, callback, self)
+        bucket = self._buckets.get(time)
+        if bucket is None:
+            self._buckets[time] = [handle]
+            heapq.heappush(self._times, time)
+        else:
+            bucket.append(handle)
         self._pending += 1
-        heapq.heappush(self._heap, handle)
         return handle
 
     def schedule(self, delay: float, callback: Callable[[], Any]) -> EventHandle:
@@ -64,76 +90,105 @@ class EventScheduler:
             raise SchedulingInPastError(f"delay must be >= 0, got {delay}")
         return self.schedule_at(self._now + delay, callback)
 
+    def _live_head(self) -> Optional[List[EventHandle]]:
+        """The earliest bucket with a live event, ``_first`` indexing it.
+
+        Drops the buckets whose events have all fired or been cancelled;
+        None when nothing is pending.  ``step`` leaves ``_first`` past the
+        events it fired, and no earlier instant can come before a bucket
+        that has begun to fire, so stepping through a bucket is amortised
+        O(1) per event.
+        """
+        times = self._times
+        while times:
+            bucket = self._buckets[times[0]]
+            first = self._first if bucket is self._head else 0
+            size = len(bucket)
+            while first < size and bucket[first].callback is None:
+                first += 1
+            if first < size:
+                self._head = bucket
+                self._first = first
+                return bucket
+            del self._buckets[heapq.heappop(times)]
+        self._head = None
+        return None
+
     def peek_time(self) -> Optional[float]:
         """The time of the next pending event, or None when idle."""
-        self._drop_cancelled_head()
-        if not self._heap:
+        bucket = self._live_head()
+        if bucket is None:
             return None
-        return self._heap[0].time
+        return bucket[self._first].time
 
     def step(self) -> bool:
-        """Pop and execute the next event. Returns False when none remain.
+        """Execute the next event. Returns False when none remain.
 
         The clock jumps to the event's time *before* its callback runs, so a
         callback observing ``now`` sees its own scheduled instant.
         """
-        self._drop_cancelled_head()
-        if not self._heap:
+        bucket = self._live_head()
+        if bucket is None:
             return False
-        handle = heapq.heappop(self._heap)
+        handle = bucket[self._first]
+        self._first += 1
         self._pending -= 1
-        handle._scheduler = None  # fired: a later cancel() must not decrement
         self._now = handle.time
         callback, handle.callback = handle.callback, None
-        assert callback is not None  # non-cancelled head always has one
+        assert callback is not None  # _live_head stops at a live event
         callback()
         return True
 
     def step_batch(self) -> int:
         """Execute every event scheduled at the next instant in one drain.
 
-        Equivalent to calling :meth:`step` once per event at the head time,
-        but the heap is drained before any callback runs, saving one
-        sift-down per event on dense timestamps (simultaneous beacon rounds,
-        broadcast delivery fan-outs).  Callbacks still fire in schedule
-        (FIFO) order; an event cancelled by an earlier event in the same
-        batch is skipped; an event *scheduled* for the same instant by a
-        batch callback lands in the next drain — exactly where per-event
-        pops would have put it, since its sequence number is higher than the
-        whole batch's.  Returns the number of callbacks executed.
+        Fires the same events in the same (FIFO) order as calling
+        :meth:`step` once per event at the head instant, but takes the
+        instant's whole list off the queue before any callback runs.  An
+        event cancelled by an earlier callback of the batch is skipped; an
+        event a callback *schedules* for the same instant lands in a fresh
+        list, so it runs in the next drain.  The clock is set once, from
+        the first live event.  Returns the number of callbacks executed.
         """
-        self._drop_cancelled_head()
-        if not self._heap:
+        batch = self._live_head()
+        if batch is None:
             return 0
-        heap = self._heap
-        handle = heapq.heappop(heap)
-        self._pending -= 1
-        handle._scheduler = None
-        self._now = handle.time
-        if not heap or heap[0].time != handle.time:
-            # Lone event at this instant: skip the batch list entirely.
-            callback, handle.callback = handle.callback, None
-            assert callback is not None
-            callback()
-            return 1
-        batch = [handle]
-        time = handle.time
-        while heap and heap[0].time == time:
-            head = heapq.heappop(heap)
-            if head.cancelled:  # already discounted from _pending by cancel()
-                continue
-            self._pending -= 1
-            head._scheduler = None
-            batch.append(head)
+        del self._buckets[heapq.heappop(self._times)]
+        self._head = None
+        self._now = batch[self._first].time
         executed = 0
         for handle in batch:
-            if handle.cancelled:  # cancelled by an earlier batch callback
+            callback = handle.callback
+            if callback is None:  # fired by step(), or cancelled
                 continue
-            callback, handle.callback = handle.callback, None
-            assert callback is not None
+            handle.callback = None
+            self._pending -= 1
             callback()
             executed += 1
         return executed
+
+    @contextlib.contextmanager
+    def _draining(self) -> Iterator[None]:
+        """The scope of one drain: everything built before it is frozen out
+        of the cycle collector if the drain starts with at least
+        ``gc.get_threshold()[0]`` events, and thawed when it ends.
+
+        Does nothing with the collector off, or when anything is frozen
+        already: a caller's frozen objects are never thawed, and a drain
+        nested in a callback of a freezing drain leaves it to the outer one.
+        """
+        if (
+            self._pending < gc.get_threshold()[0]
+            or not gc.isenabled()
+            or gc.get_freeze_count()
+        ):
+            yield
+            return
+        gc.freeze()
+        try:
+            yield
+        finally:
+            gc.unfreeze()
 
     def run_until(self, deadline: float) -> None:
         """Execute every event scheduled at or before ``deadline``.
@@ -146,11 +201,12 @@ class EventScheduler:
             raise SchedulingInPastError(
                 f"cannot run until t={deadline} (now is t={self._now})"
             )
-        while True:
-            next_time = self.peek_time()
-            if next_time is None or next_time > deadline:
-                break
-            self.step_batch()
+        with self._draining():
+            while True:
+                next_time = self.peek_time()
+                if next_time is None or next_time > deadline:
+                    break
+                self.step_batch()
         self._now = deadline
 
     def run_before(self, deadline: float) -> None:
@@ -158,25 +214,23 @@ class EventScheduler:
 
         The half-open counterpart of :meth:`run_until`, used for horizon
         windows ``[t0, t1)``: events landing exactly on ``t1`` belong to the
-        next window and stay in the heap.  The clock still ends exactly at
+        next window and stay queued.  The clock still ends exactly at
         ``deadline``, so a follow-up ``run_before(t2)`` picks up seamlessly.
         """
         if not deadline >= self._now:
             raise SchedulingInPastError(
                 f"cannot run before t={deadline} (now is t={self._now})"
             )
-        while True:
-            next_time = self.peek_time()
-            if next_time is None or next_time >= deadline:
-                break
-            self.step_batch()
+        with self._draining():
+            while True:
+                next_time = self.peek_time()
+                if next_time is None or next_time >= deadline:
+                    break
+                self.step_batch()
         self._now = deadline
 
     def run(self) -> None:
         """Execute events until the schedule drains."""
-        while self.step_batch():
-            pass
-
-    def _drop_cancelled_head(self) -> None:
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)
+        with self._draining():
+            while self.step_batch():
+                pass

@@ -1,5 +1,7 @@
 """Flow energy model: duty curve and per-device aggregation."""
 
+import gc
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -16,6 +18,7 @@ from repro.net.flow_energy import (
     receiver_binder,
     sender_binder,
 )
+from repro.runner.jobs import jobs_for
 from repro.sim.kernel import Kernel
 
 
@@ -141,6 +144,21 @@ class TestAccountant:
         meter_b = EnergyMeter(kernel, "b")
         assert accountant_for(meter_a) is accountant_for(meter_a)
         assert accountant_for(meter_a) is not accountant_for(meter_b)
+
+
+    def test_finished_testbeds_are_freed(self):
+        # Each accountant holds its meter strongly, so a registry keyed
+        # weakly by meter never let go of one: every meter that carried a
+        # flow, and through meter.kernel its whole testbed, stayed alive.
+        before = [obj for obj in gc.get_objects() if isinstance(obj, Kernel)]
+        for job in jobs_for("table5"):
+            job.run()
+        gc.collect()
+        survivors = [
+            obj for obj in gc.get_objects()
+            if isinstance(obj, Kernel) and not any(obj is old for old in before)
+        ]
+        assert survivors == []
 
 
 class TestBinders:

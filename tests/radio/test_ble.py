@@ -42,6 +42,36 @@ def test_advertising_set_update_changes_payload(kernel, pair):
     assert b"old" in heard and heard[-1] == b"new"
 
 
+@pytest.mark.parametrize("interval_s", [0.0, -0.5, float("nan")])
+def test_start_advertising_rejects_bad_interval_before_any_state(kernel, pair,
+                                                                 interval_s):
+    tx, _rx = pair
+    with pytest.raises(ValueError, match="interval"):
+        tx.start_advertising(b"x", interval_s=interval_s)
+    assert tx._advertising_sets == []
+    assert len(kernel.scheduler) == 0
+
+
+def test_start_advertising_rejects_bad_jitter_before_any_state(kernel, pair):
+    tx, _rx = pair
+    with pytest.raises(ValueError, match="jitter_fraction"):
+        tx.start_advertising(b"x", interval_s=0.5, jitter_fraction=1.5)
+    assert tx._advertising_sets == []
+    assert len(kernel.scheduler) == 0
+
+
+@pytest.mark.parametrize("interval_s", [0.0, float("nan")])
+def test_advertising_set_update_rejects_bad_interval_unchanged(pair, interval_s):
+    tx, _rx = pair
+    adv = tx.start_advertising(b"old", interval_s=0.5, jitter_fraction=0.0)
+    with pytest.raises(ValueError, match="interval"):
+        adv.update(payload=b"new", interval_s=interval_s)
+    # Neither field moved, and the interval still matches the task's period.
+    assert adv.payload == b"old"
+    assert adv.interval_s == 0.5
+    assert adv._task.period == 0.5
+
+
 def test_advertising_set_stop(kernel, pair):
     tx, rx = pair
     heard = []

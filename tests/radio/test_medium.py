@@ -193,3 +193,33 @@ def test_finished_scene_is_collectable():
     del kernel, world, medium, radios, node, device
     gc.collect()
     assert alive() is None
+
+
+def test_finished_scene_large_enough_to_freeze_is_collectable():
+    """The larger sibling of the test above: a drain this scene's queue is
+    long enough to freeze thaws on return, so the scene it ran is still
+    freed by the cycle collector once the last reference goes."""
+    assert gc.isenabled() and gc.get_freeze_count() == 0
+    kernel = Kernel(seed=5)
+    world = World(kernel)
+    medium = Medium(kernel, world)
+    radios = []
+    for i in range(20):
+        node = world.add_node(f"g{i}", position=Position(i * 5.0, 0.0))
+        device = Device(kernel, node)
+        radios.append(device.add_radio(BleRadio(device, medium)))
+        radios[-1].enable()
+        radios[-1].start_scanning(lambda payload, mac, distance: None)
+    rounds = gc.get_threshold()[0] // len(radios) + 1
+    for round_index in range(rounds):
+        for radio in radios:
+            kernel.call_at(round_index * 0.1, lambda r=radio: r.advertise_once(b"x"))
+    frozen = []
+    kernel.call_at(0.0, lambda: frozen.append(gc.get_freeze_count()))
+    kernel.run_until(rounds * 0.1)
+    assert frozen[0] > 0
+    assert gc.get_freeze_count() == 0
+    alive = weakref.ref(medium)
+    del kernel, world, medium, radios, radio, node, device
+    gc.collect()
+    assert alive() is None

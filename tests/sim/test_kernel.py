@@ -85,6 +85,23 @@ def test_periodic_task_rejects_bad_period(kernel):
         task.set_period(float("nan"))
 
 
+def test_every_rejects_nan_start_after_at_the_call(kernel):
+    # max(0.0, nan) is 0.0: admitted, the task would start at once.
+    with pytest.raises(ValueError, match="start_after"):
+        kernel.every(1.0, lambda: None, start_after=float("nan"))
+    assert len(kernel.scheduler) == 0
+
+
+@pytest.mark.parametrize("fraction", [-0.1, 1.0, 3.0, float("nan")])
+def test_every_rejects_bad_jitter_fraction_at_the_call(kernel, fraction):
+    # A negative fraction used to raise only at the first jittered fire, and
+    # a fraction of 3.0 drew a negative period that raised
+    # SchedulingInPastError from a later run_until.
+    with pytest.raises(ValueError, match="jitter_fraction"):
+        kernel.every(1.0, lambda: None, jitter_fraction=fraction)
+    assert len(kernel.scheduler) == 0
+
+
 def test_periodic_jitter_stays_within_fraction(kernel):
     times = []
     kernel.every(1.0, lambda: times.append(kernel.now), jitter_fraction=0.1)

@@ -1,4 +1,6 @@
-"""Event scheduler: ordering, cancellation, clock semantics."""
+"""Event scheduler: ordering, cancellation, clock semantics, freeze guard."""
+
+import gc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -109,8 +111,8 @@ def test_len_exact_while_cancelled_events_still_in_heap():
     handles = [scheduler.schedule(float(i + 1), lambda: None) for i in range(5)]
     handles[3].cancel()
     handles[1].cancel()
-    # The cancelled handles are still buried in the heap (lazy deletion),
-    # but the count must already exclude them.
+    # The cancelled handles are still queued (lazy deletion), but the
+    # count must already exclude them.
     assert len(scheduler) == 3
     scheduler.run()
     assert len(scheduler) == 0
@@ -260,6 +262,16 @@ def test_step_batch_respects_cancellation_inside_the_batch():
     assert len(scheduler) == 0
 
 
+def test_len_inside_a_batch_counts_the_rest_of_the_batch():
+    scheduler = EventScheduler()
+    seen = []
+    for _ in range(3):
+        scheduler.schedule(1.0, lambda: seen.append(len(scheduler)))
+    scheduler.schedule(2.0, lambda: None)
+    assert scheduler.step_batch() == 3
+    assert seen == [3, 2, 1]
+
+
 def test_batched_run_matches_stepwise_run_exactly():
     def build():
         scheduler = EventScheduler()
@@ -274,3 +286,110 @@ def test_batched_run_matches_stepwise_run_exactly():
     while stepwise.step():
         pass
     assert batched_fired == stepwise_fired
+
+
+# -- the freeze guard: a large drain keeps the collector off the built scene --
+
+
+def _loaded(count):
+    """A scheduler with ``count`` no-op events at t=1."""
+    scheduler = EventScheduler()
+    for _ in range(count):
+        scheduler.schedule(1.0, lambda: None)
+    return scheduler
+
+
+def _record_freeze_count(scheduler, seen):
+    scheduler.schedule(1.0, lambda: seen.append(gc.get_freeze_count()))
+
+
+@pytest.fixture
+def collector():
+    """The collector as a freezing drain needs it: on, nothing frozen."""
+    assert gc.isenabled() and gc.get_freeze_count() == 0
+    yield
+    assert gc.get_freeze_count() == 0
+
+
+@pytest.mark.parametrize("drain", [
+    lambda scheduler: scheduler.run_until(1.0),
+    lambda scheduler: scheduler.run_before(2.0),
+    lambda scheduler: scheduler.run(),
+], ids=["run_until", "run_before", "run"])
+def test_freezing_drain_thaws_on_return_and_on_raise(collector, drain):
+    seen = []
+    scheduler = _loaded(gc.get_threshold()[0])
+    _record_freeze_count(scheduler, seen)
+    drain(scheduler)
+    assert seen[0] > 0
+    assert gc.get_freeze_count() == 0
+
+    def fail():
+        raise RuntimeError("callback failed")
+
+    scheduler = _loaded(gc.get_threshold()[0])
+    _record_freeze_count(scheduler, seen)
+    scheduler.schedule(1.0, fail)
+    with pytest.raises(RuntimeError, match="callback failed"):
+        drain(scheduler)
+    assert seen[1] > 0
+    assert gc.get_freeze_count() == 0
+
+
+def test_drain_leaves_a_callers_frozen_objects_frozen(collector):
+    gc.freeze()
+    try:
+        frozen = gc.get_freeze_count()
+        seen = []
+        scheduler = _loaded(gc.get_threshold()[0])
+        _record_freeze_count(scheduler, seen)
+        scheduler.run()
+        # Neither frozen again (the count would grow) nor thawed (it would
+        # drop to 0).
+        assert seen == [frozen]
+        assert gc.get_freeze_count() == frozen
+    finally:
+        gc.unfreeze()
+
+
+def test_drain_nested_in_a_callback_neither_freezes_nor_thaws(collector):
+    seen = []
+
+    def nest():
+        # Built after the outer drain froze, so nothing here is frozen and
+        # nothing that dies here moves the count.
+        inner = _loaded(gc.get_threshold()[0])
+        _record_freeze_count(inner, seen)
+        seen.append(gc.get_freeze_count())
+        inner.run()
+        seen.append(gc.get_freeze_count())
+
+    outer = _loaded(gc.get_threshold()[0])
+    outer.schedule(1.0, nest)
+    outer.run()
+    before, inside, after = seen
+    assert before > 0
+    assert inside == before
+    assert after == before
+    assert gc.get_freeze_count() == 0
+
+
+def test_drain_below_the_threshold_does_not_freeze(collector):
+    seen = []
+    scheduler = _loaded(gc.get_threshold()[0] - 2)
+    _record_freeze_count(scheduler, seen)
+    assert len(scheduler) == gc.get_threshold()[0] - 1
+    scheduler.run()
+    assert seen == [0]
+
+
+def test_drain_with_the_collector_off_does_not_freeze(collector):
+    seen = []
+    scheduler = _loaded(gc.get_threshold()[0])
+    _record_freeze_count(scheduler, seen)
+    gc.disable()
+    try:
+        scheduler.run()
+    finally:
+        gc.enable()
+    assert seen == [0]
